@@ -1,10 +1,14 @@
 """Fixed-step integration drivers over generated right-hand sides.
 
-The right-hand side of a system is generated as python source and, when
-numba is importable, jit-compiled together with these drivers.  Additive
-bump perturbations are passed as packed index/coefficient arrays so that a
-perturbed system reuses the base compilation.  The pure-python fallback
-runs the identical code paths, only slower.
+The right-hand side of a system is generated as python source and compiled
+twice from the same text: a scalar rhs over one state vector, which the
+RK4 flow drivers call, and a block rhs over an (n, B) array of states, which
+the variational driver calls once per stage to get the state derivative
+and a central-difference Jacobian together.  When numba is importable both
+are jit-compiled together with these drivers.  Additive bump perturbations
+are passed as packed index/coefficient arrays so that a perturbed system
+reuses the base compilation.  The pure-python fallback runs the identical
+code paths, only slower.
 """
 
 from __future__ import annotations
@@ -181,108 +185,53 @@ def _rk4_record(rhs, row_start, gather, arg_len, out_off, out_dim, perm_start,
     return OK
 
 
-def _rk4_variational(rhs, row_start, gather, arg_len, out_off, out_dim,
+def _rk4_variational(rhs_block, row_start, gather, arg_len, out_off, out_dim,
                      perm_start, perms, z, inv_d2, w, x0, h, nsteps, fd):
     """Integrate state and fundamental matrix together.
 
-    The Jacobian of the field is taken by central differences of the
-    right-hand side with step fd per coordinate; the systematic O(fd^2)
-    bias integrates smoothly, so monodromy matrices come out far more
-    accurately than differencing the time-T flow map.
+    Each RK4 stage evaluates the block rhs once on the (n, 2n+1) block
+    [y, y + fd e_j, y - fd e_j]: column 0 is the field at y and the central
+    differences of the others are its Jacobian J, and the stage's
+    fundamental-matrix slope is J p.  The systematic O(fd^2) bias integrates
+    smoothly, so monodromy matrices come out far more accurately than
+    differencing the time-T flow map.  Returns (x, phi, status), checking
+    the blow-up guard every 64 steps as the flow drivers do.
     """
     n = x0.shape[0]
     x = x0.copy()
     phi = np.eye(n)
-    k1 = np.empty(n)
-    k2 = np.empty(n)
-    k3 = np.empty(n)
-    k4 = np.empty(n)
-    p1 = np.empty((n, n))
-    p2 = np.empty((n, n))
-    p3 = np.empty((n, n))
-    p4 = np.empty((n, n))
-    tmp = np.empty(n)
-    ptmp = np.empty((n, n))
-    jac = np.empty((n, n))
-    fplus = np.empty(n)
-    fminus = np.empty(n)
-    probe = np.empty(n)
+    shifts = np.hstack((np.zeros((n, 1)), fd * np.eye(n), -fd * np.eye(n)))
+    out = np.empty((n, 2 * n + 1))
+    bumped = row_start.shape[0] > 1
 
-    def eval_rhs(y, out):
-        rhs(y, out)
-        _apply_bumps(y, out, row_start, gather, arg_len, out_off, out_dim,
-                     perm_start, perms, z, inv_d2, w)
+    def stage(y, p):
+        block = y.reshape((n, 1)) + shifts
+        rhs_block(block, out)
+        if bumped:
+            for col in range(2 * n + 1):
+                _apply_bumps(block[:, col], out[:, col], row_start, gather,
+                             arg_len, out_off, out_dim, perm_start, perms, z,
+                             inv_d2, w)
+        jac = (out[:, 1:n + 1] - out[:, n + 1:]) / (2.0 * fd)
+        # J p summed over the inner index in order, not by BLAS, so that phi
+        # does not depend on the BLAS build's summation order
+        jp = (jac.reshape((n, n, 1)) * p.reshape((1, n, n))).sum(axis=1)
+        return out[:, 0].copy(), jp
 
-    def jacobian(y):
-        for j in range(n):
-            for i in range(n):
-                probe[i] = y[i]
-            probe[j] = y[j] + fd
-            eval_rhs(probe, fplus)
-            probe[j] = y[j] - fd
-            eval_rhs(probe, fminus)
-            for i in range(n):
-                jac[i, j] = (fplus[i] - fminus[i]) / (2.0 * fd)
-
-    for _ in range(nsteps):
-        eval_rhs(x, k1)
-        jacobian(x)
-        for i in range(n):
-            for jj in range(n):
-                acc = 0.0
-                for m in range(n):
-                    acc += jac[i, m] * phi[m, jj]
-                p1[i, jj] = acc
-        for i in range(n):
-            tmp[i] = x[i] + 0.5 * h * k1[i]
-        for i in range(n):
-            for jj in range(n):
-                ptmp[i, jj] = phi[i, jj] + 0.5 * h * p1[i, jj]
-        eval_rhs(tmp, k2)
-        jacobian(tmp)
-        for i in range(n):
-            for jj in range(n):
-                acc = 0.0
-                for m in range(n):
-                    acc += jac[i, m] * ptmp[m, jj]
-                p2[i, jj] = acc
-        for i in range(n):
-            tmp[i] = x[i] + 0.5 * h * k2[i]
-        for i in range(n):
-            for jj in range(n):
-                ptmp[i, jj] = phi[i, jj] + 0.5 * h * p2[i, jj]
-        eval_rhs(tmp, k3)
-        jacobian(tmp)
-        for i in range(n):
-            for jj in range(n):
-                acc = 0.0
-                for m in range(n):
-                    acc += jac[i, m] * ptmp[m, jj]
-                p3[i, jj] = acc
-        for i in range(n):
-            tmp[i] = x[i] + h * k3[i]
-        for i in range(n):
-            for jj in range(n):
-                ptmp[i, jj] = phi[i, jj] + h * p3[i, jj]
-        eval_rhs(tmp, k4)
-        jacobian(tmp)
-        for i in range(n):
-            for jj in range(n):
-                acc = 0.0
-                for m in range(n):
-                    acc += jac[i, m] * ptmp[m, jj]
-                p4[i, jj] = acc
-        for i in range(n):
-            x[i] = x[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-        for i in range(n):
-            for jj in range(n):
-                phi[i, jj] = phi[i, jj] + (h / 6.0) * (
-                    p1[i, jj] + 2.0 * p2[i, jj] + 2.0 * p3[i, jj] + p4[i, jj])
-    status = OK
-    for i in range(n):
-        if not math.isfinite(x[i]):
-            status = NONFINITE
-    return x, phi, status
+    for step in range(nsteps):
+        k1, p1 = stage(x, phi)
+        k2, p2 = stage(x + 0.5 * h * k1, phi + 0.5 * h * p1)
+        k3, p3 = stage(x + 0.5 * h * k2, phi + 0.5 * h * p2)
+        k4, p4 = stage(x + h * k3, phi + h * p3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        phi = phi + (h / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+        if step % 64 == 0 or step == nsteps - 1:
+            m = np.max(np.abs(x))
+            if m > _BLOWUP_NORM:
+                return x, phi, BLOWUP
+            if not (math.isfinite(m) and np.all(np.isfinite(phi))):
+                return x, phi, NONFINITE
+    return x, phi, OK
 
 
 if HAVE_NUMBA:
@@ -311,10 +260,16 @@ def empty_pack() -> tuple:
             np.zeros((1, 1)))                     # w
 
 
-def compile_rhs(source: str, namespace: dict):
-    """Exec generated source and jit the resulting rhs(s, out) function."""
-    ns = {"math": math, "np": np}
+def compile_rhs(source: str, namespace: dict, block: bool = False):
+    """Exec generated source and jit the resulting rhs(s, out) function.
+
+    The source calls sin/cos/exp/tanh by bare name.  They are bound to
+    math's for the scalar rhs, where s and out are state vectors, and to
+    NumPy's for the block rhs (block=True), where they are (n, B) arrays
+    holding one state per column.
+    """
+    lib = np if block else math
+    ns = {name: getattr(lib, name) for name in ("sin", "cos", "exp", "tanh")}
     ns.update(namespace)
     exec(compile(source, "<ccnet-rhs>", "exec"), ns)
-    fn = ns["rhs"]
-    return _jit(fn) if HAVE_NUMBA else fn
+    return _jit(ns["rhs"])

@@ -91,10 +91,16 @@ def layout_for(net: Network, dims: Mapping[str, int]) -> StateLayout:
 # -- compiled field -----------------------------------------------------------
 
 class CompiledField:
-    """A jit-compiled rhs plus an (optionally empty) perturbation pack."""
+    """A jit-compiled rhs, its block twin over (n, B) arrays of states, and
+    an (optionally empty) perturbation pack.
 
-    def __init__(self, rhs, pack, layout: StateLayout):
+    The drivers run with NumPy's overflow and invalid-value warnings off:
+    a diverging trajectory is reported through FlowDiverged instead.
+    """
+
+    def __init__(self, rhs, rhs_block, pack, layout: StateLayout):
         self.rhs = rhs
+        self.rhs_block = rhs_block
         self.pack = pack
         self.layout = layout
 
@@ -106,26 +112,29 @@ class CompiledField:
         return out
 
     def flow(self, x0: np.ndarray, h: float, nsteps: int) -> np.ndarray:
-        x, status = _compile.rk4_flow(self.rhs, *self.pack,
-                                      np.ascontiguousarray(x0, dtype=float),
-                                      h, nsteps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, status = _compile.rk4_flow(self.rhs, *self.pack,
+                                          np.ascontiguousarray(x0, dtype=float),
+                                          h, nsteps)
         _raise_status(status)
         return x
 
     def flow_record(self, x0: np.ndarray, h: float, nsteps: int,
                     every: int) -> np.ndarray:
         traj = np.empty((nsteps // every + 1, self.layout.total_dim))
-        status = _compile.rk4_record(self.rhs, *self.pack,
-                                     np.ascontiguousarray(x0, dtype=float),
-                                     h, nsteps, every, traj)
+        with np.errstate(over="ignore", invalid="ignore"):
+            status = _compile.rk4_record(self.rhs, *self.pack,
+                                         np.ascontiguousarray(x0, dtype=float),
+                                         h, nsteps, every, traj)
         _raise_status(status)
         return traj
 
     def flow_variational(self, x0: np.ndarray, h: float, nsteps: int,
                          fd: float) -> tuple[np.ndarray, np.ndarray]:
-        x, phi, status = _compile.rk4_variational(
-            self.rhs, *self.pack, np.ascontiguousarray(x0, dtype=float),
-            h, nsteps, fd)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, phi, status = _compile.rk4_variational(
+                self.rhs_block, *self.pack,
+                np.ascontiguousarray(x0, dtype=float), h, nsteps, fd)
         _raise_status(status)
         return x, phi
 
@@ -267,8 +276,9 @@ class AdmissibleSystem:
     @cached_property
     def compiled(self) -> CompiledField:
         source, ns = _rhs_source(self)
-        rhs = _compile.compile_rhs(source, ns)
-        return CompiledField(rhs, _compile.empty_pack(), self.layout)
+        return CompiledField(_compile.compile_rhs(source, ns),
+                             _compile.compile_rhs(source, ns, block=True),
+                             _compile.empty_pack(), self.layout)
 
     def evaluate(self, x: Sequence[float]) -> np.ndarray:
         """Full vector field at x; aborts naming the offending subexpression
@@ -280,7 +290,7 @@ class AdmissibleSystem:
                 f"({self.layout.total_dim},)")
         try:
             out = self.compiled.eval(x)
-        except Exception:
+        except (ArithmeticError, ValueError):
             out = None
         if out is None or not np.all(np.isfinite(out)):
             self._evaluate_slow(x)  # raises with attribution
@@ -696,7 +706,8 @@ class PerturbedSystem:
         self._pack = pack_perturbations(base, self.perturbations, self.epsilon)
 
     def flow_args(self) -> CompiledField:
-        return CompiledField(self.base.compiled.rhs, self._pack, self.layout)
+        base = self.base.compiled
+        return CompiledField(base.rhs, base.rhs_block, self._pack, self.layout)
 
     def evaluate(self, x: Sequence[float]) -> np.ndarray:
         x = np.asarray(x, dtype=float)

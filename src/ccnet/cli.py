@@ -304,7 +304,8 @@ def _dispatch(args) -> int:
         return VIOLATION_EXIT if rep.violation_candidate else 0
     if cmd == "hk":
         cfg = _probe_config(args)
-        orb = find_periodic_orbit(cfg.system, cfg.x_guess, cfg.T_guess, h=cfg.h)
+        orb = find_periodic_orbit(cfg.system, cfg.x_guess, cfg.T_guess, h=cfg.h,
+                                  tol=cfg.tol.orbit)
         pattern = detect_phase(cfg.system, orb, tol=cfg.tol.phase)
         col = cfg.colouring
         if col is None:

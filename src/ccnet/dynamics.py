@@ -4,9 +4,12 @@ synchrony/phase/steadiness detection on trajectories.
 Orbit location is single shooting: Newton iteration on (anchor, period)
 with a fixed Poincare-section phase condition.  Monodromy matrices come
 from integrating the variational equation along the orbit (the field's
-Jacobian taken by central differences), which keeps the small multipliers
-accurate enough for tight Floquet checks; differencing the time-T flow map
-directly is available as a fallback.
+Jacobian taken by central differences over one block evaluation of the
+rhs per RK4 stage), which keeps the small multipliers accurate enough for
+tight Floquet checks; differencing the time-T flow map directly is
+available as a fallback.  An orbit's monodromy and multipliers are lazy:
+the variational pass runs on their first read, so orbits whose Floquet
+data nobody reads (continuation members, say) never pay for it.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -109,16 +113,28 @@ def trajectory_to_csv(traj: Trajectory, path: str):
 
 @dataclass
 class PeriodicOrbit:
+    """A located orbit.  monodromy and multipliers are integrated from
+    system on first read and cached."""
+
     anchor: np.ndarray
     period: float
     section_point: np.ndarray
     section_normal: np.ndarray
     times: np.ndarray            # uniform over one period, ORBIT_SAMPLES rows
     samples: np.ndarray
-    monodromy: np.ndarray
-    multipliers: np.ndarray      # sorted by |mu - 1|
     residual: float
     step: float
+    system: object = field(repr=False, compare=False)
+
+    @cached_property
+    def monodromy(self) -> np.ndarray:
+        """Fundamental matrix over one period, integrated on first read."""
+        return monodromy_matrix(self.system, self.anchor, self.period, h=self.step)
+
+    @cached_property
+    def multipliers(self) -> np.ndarray:
+        """Floquet multipliers, sorted by |mu - 1|."""
+        return _sorted_eigvals(self.monodromy)
 
     @property
     def trivial_multiplier(self) -> complex:
@@ -159,13 +175,22 @@ def monodromy_matrix(sys, anchor: np.ndarray, T: float, h: float = 1e-3,
     raise ValueError(f"unknown monodromy method {method!r}")
 
 
-def floquet(sys, orbit: PeriodicOrbit, h: float | None = None,
-            method: str = "variational") -> np.ndarray:
-    """Floquet multipliers of the orbit, sorted by |mu - 1| ascending."""
-    phi = monodromy_matrix(sys, orbit.anchor, orbit.period,
-                           h=h or orbit.step, method=method)
+def _sorted_eigvals(phi: np.ndarray) -> np.ndarray:
     mus = np.linalg.eigvals(phi)
     return mus[np.argsort(np.abs(mus - 1.0))]
+
+
+def floquet(sys, orbit: PeriodicOrbit, h: float | None = None,
+            method: str = "variational") -> np.ndarray:
+    """Floquet multipliers of the orbit, sorted by |mu - 1| ascending.
+
+    With the default step and method on the orbit's own system these are
+    the orbit's cached multipliers; otherwise a fresh pass runs."""
+    if h is None and method == "variational" and sys is orbit.system:
+        return orbit.multipliers
+    phi = monodromy_matrix(sys, orbit.anchor, orbit.period,
+                           h=h or orbit.step, method=method)
+    return _sorted_eigvals(phi)
 
 
 def _resample(sys, anchor: np.ndarray, T: float, h: float,
@@ -183,14 +208,11 @@ def _resample(sys, anchor: np.ndarray, T: float, h: float,
 def _build_orbit(sys, anchor: np.ndarray, T: float, h: float, residual: float,
                  section_point: np.ndarray, section_normal: np.ndarray) -> PeriodicOrbit:
     times, samples = _resample(sys, anchor, T, h)
-    phi = monodromy_matrix(sys, anchor, T, h=h)
-    mus = np.linalg.eigvals(phi)
-    mus = mus[np.argsort(np.abs(mus - 1.0))]
-    return PeriodicOrbit(anchor=np.asarray(anchor, dtype=float), period=float(T),
+    return PeriodicOrbit(anchor=np.array(anchor, dtype=float), period=float(T),
                          section_point=np.asarray(section_point, dtype=float),
                          section_normal=np.asarray(section_normal, dtype=float),
-                         times=times, samples=samples, monodromy=phi,
-                         multipliers=mus, residual=float(residual), step=h)
+                         times=times, samples=samples, residual=float(residual),
+                         step=h, system=sys)
 
 
 def find_periodic_orbit(sys, x_guess: Sequence[float], T_guess: float,
@@ -204,7 +226,7 @@ def find_periodic_orbit(sys, x_guess: Sequence[float], T_guess: float,
     fixed Poincare section (through x_guess, normal to the flow there,
     unless one is supplied).  Converged when the closure residual drops
     below tol.  Raises NoConvergence after max_iter Newton steps and
-    CollapseToEquilibrium когда the iteration degenerates (stagnant flow or
+    CollapseToEquilibrium when the iteration degenerates (stagnant flow or
     vanishing period).
     """
     if T_guess <= 0:

@@ -337,7 +337,11 @@ def _remap(node: ExprNode, slot_map: dict[int, int]) -> ExprNode:
 # -- code generation ---------------------------------------------------------------
 
 def _codegen(node: ExprNode, xref, uref) -> str:
-    """Emit a python expression; xref(i)/uref(slot, i) give variable names."""
+    """Emit a python expression; xref(i)/uref(slot, i) give variable names.
+
+    Functions are emitted as bare names (sin, cos, exp, tanh), so the same
+    text runs on floats or on NumPy arrays depending on what the names are
+    bound to when it is compiled."""
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, SelfVar):
@@ -356,7 +360,7 @@ def _codegen(node: ExprNode, xref, uref) -> str:
             return "(" + "*".join([base] * n) + ")"
         return f"({base}**{n})" if n >= 0 else f"({base}**({n}))"
     if isinstance(node, Call):
-        return f"math.{node.func}({_codegen(node.argument, xref, uref)})"
+        return f"{node.func}({_codegen(node.argument, xref, uref)})"
     raise TypeError(node)
 
 

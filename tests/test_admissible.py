@@ -1,8 +1,11 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ccnet import library
 from ccnet.admissible import (AdmissibleError, AdmissibleSystem, Perturbation,
                               PerturbationSpec, PerturbedSystem, bump,
                               c1_norm_estimate, invariance_residual, layout_for,
@@ -260,3 +263,61 @@ class TestPerturbedSystem:
             ins = [x[lay.slice_of(t)] for t in control_net.input_tails(c)]
             slow[lay.slice_of(c)] = component_value(psys, c, x[lay.slice_of(c)], ins)
         assert np.allclose(psys.evaluate(x), slow, atol=1e-12, rtol=0)
+
+
+# -- block rhs ---------------------------------------------------------------------
+
+def _fan_in_system():
+    """Node 1 reads five same-typed inputs: its vertex group S5 (order 120)
+    takes the gather-loop branch of the symmetrised codegen."""
+    net = mk_network(["A"] + ["B"] * 5, [("s", 1, t) for t in range(2, 7)])
+    comp = "u[1][1]*u[2][1]^2 - x[1] + u[3][1]*u[4][1]*u[5][1]^5"
+    return AdmissibleSystem(net, {"A": 1, "B": 1},
+                            {1: comp, 2: "0.5 - x[1]"}, symmetrise=True)
+
+
+def _functions_system():
+    """sin/cos/exp/tanh and negative powers in one component."""
+    net = mk_network(["H", "H"], [("s", 1, 2), ("s", 2, 1)])
+    comp = ("sin(x[1])*cos(u[1][2]) - tanh(x[2]) + exp(-x[1]^2)*(2 + u[1][1]^2)^-1, "
+            "x[1] - 0.1*x[2] + (1.5 + cos(u[1][1]))^-3")
+    return AdmissibleSystem(net, {"H": 2}, {1: comp})
+
+
+@functools.lru_cache(maxsize=None)
+def _block_systems() -> tuple:
+    from ccnet.quotient import double, doubled_system
+    wave = library.ring_wave_system(0.2)[0]
+    systems = [library.hopf_system(), library.rotation_system(),
+               library.two_max_component_system(True),
+               library.two_max_component_system(False),
+               wave, library.ring_wave_system(0.2, n=5)[0],
+               library.mixed_ring_wave_system(0.2)[0],
+               library.control_scenario().system,
+               doubled_system(wave, double(wave.network)),
+               _fan_in_system(), _functions_system()]
+    systems += [s.system for s in library.case_study_scenarios()]
+    return tuple(systems)
+
+
+class TestBlockRhs:
+    def test_fan_in_takes_gather_branch(self):
+        from ccnet.admissible import _rhs_source
+        sys = _fan_in_system()
+        assert vertex_group(sys.network, 1).order > 24
+        source, ns = _rhs_source(sys)
+        assert "_G1" in ns and "for _p1 in range(120)" in source
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), width=st.integers(1, 9))
+    def test_block_equals_scalar_columns(self, seed, width):
+        rng = np.random.default_rng(seed)
+        for sys in _block_systems():
+            field = sys.compiled
+            block = rng.uniform(-1.5, 1.5, (sys.layout.total_dim, width))
+            out = np.empty_like(block)
+            field.rhs_block(block, out)
+            for j in range(width):
+                col = np.empty(sys.layout.total_dim)
+                field.rhs(np.ascontiguousarray(block[:, j]), col)
+                np.testing.assert_allclose(out[:, j], col, rtol=1e-13, atol=1e-13)

@@ -104,6 +104,22 @@ class TestDynamicsCommands:
 
 
 class TestProbeCommands:
+    def test_hk_passes_orbit_tolerance(self, capsys, files, monkeypatch):
+        import ccnet.cli
+        seen = []
+        original = ccnet.cli.find_periodic_orbit
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("tol"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ccnet.cli, "find_periodic_orbit", spy)
+        rc, out = run(capsys, "hk", "--net", files["hopf"], "--sys", files["hsys"],
+                      "--x0", "1.2,0.0", "--tguess", "6.0", "--h", "1e-2",
+                      "--tol-orbit", "3e-9")
+        assert rc == 0 and out is not None
+        assert seen == [3e-9]
+
     def test_case3ring_exit_zero(self, capsys, files):
         rc, out = run(capsys, "case3ring", "--eps", "1e-3,1e-4",
                       "--ensemble", "2", "--h", "4e-3")

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from ccnet.admissible import AdmissibleSystem
+from ccnet.admissible import (AdmissibleSystem, CompiledField, FlowDiverged,
+                              Perturbation, PerturbedSystem)
 from ccnet.dynamics import (CollapseToEquilibrium, NoConvergence, Trajectory,
                             detect_phase, detect_steady_nodes,
                             detect_synchrony, find_periodic_orbit, floquet,
-                            integrate, is_hyperbolic, orbit_from_point,
-                            upstream_closure)
+                            integrate, is_hyperbolic, monodromy_matrix,
+                            orbit_from_point, upstream_closure)
 from ccnet.library import (HOPF, hopf_coupled, rotation_system,
                            three_node_ring, uniform_ring)
 from ccnet.network import mk_network
@@ -93,6 +94,121 @@ class TestFloquet:
         orb = orbit_from_point(fig3_system, settle.states[-1], 2 * np.pi, tol=1e-8)
         near_one = np.sum(np.abs(orb.multipliers - 1.0) < 1e-3)
         assert near_one == 2
+
+
+class TestLazyMultipliers:
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Counts variational passes."""
+        count = [0]
+        original = CompiledField.flow_variational
+
+        def counted(field, *args, **kwargs):
+            count[0] += 1
+            return original(field, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledField, "flow_variational", counted)
+        return count
+
+    def test_pass_runs_on_first_read_only(self, hopf, passes):
+        orb = find_periodic_orbit(hopf, np.array([1.2, 0.0]), 6.0, h=1e-2)
+        assert passes[0] == 0
+        mus = orb.multipliers
+        assert passes[0] == 1
+        assert orb.multipliers is mus and orb.monodromy.shape == (2, 2)
+        assert floquet(hopf, orb) is mus
+        is_hyperbolic(hopf, orb)
+        assert passes[0] == 1
+
+    def test_floquet_with_other_step_runs_a_pass(self, hopf, passes):
+        orb = find_periodic_orbit(hopf, np.array([1.2, 0.0]), 6.0, h=1e-2)
+        mus = floquet(hopf, orb, h=5e-3)
+        assert passes[0] == 1
+        assert np.max(np.abs(mus - orb.multipliers)) < 1e-6
+
+    def test_orbit_owns_its_anchor(self, hopf):
+        x0 = np.array([1.0, 0.0])
+        orb = orbit_from_point(hopf, x0, 2 * np.pi, h=1e-2, tol=1e-6)
+        x0[:] = 5.0
+        assert abs(orb.multipliers[0] - 1.0) < 1e-5
+
+
+def _variational_reference(field, x0, h, nsteps, fd):
+    """The variational pass as plain loops over the scalar rhs."""
+    n = len(x0)
+
+    def slope(y, p):
+        jac = np.empty((n, n))
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = fd
+            jac[:, j] = (field.eval(y + e) - field.eval(y - e)) / (2.0 * fd)
+        jp = np.zeros((n, n))
+        for m in range(n):
+            jp = jp + jac[:, m:m + 1] * p[m]
+        return field.eval(y), jp
+
+    x, phi = np.array(x0, dtype=float), np.eye(n)
+    for _ in range(nsteps):
+        k1, p1 = slope(x, phi)
+        k2, p2 = slope(x + 0.5 * h * k1, phi + 0.5 * h * p1)
+        k3, p3 = slope(x + 0.5 * h * k2, phi + 0.5 * h * p2)
+        k4, p4 = slope(x + h * k3, phi + h * p3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        phi = phi + (h / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+    return x, phi
+
+
+class TestBlockMonodromy:
+    """The block variational pass against a scalar-loop reference and
+    against differencing the time-T flow."""
+
+    def test_equals_scalar_loop_reference(self, hopf, wave):
+        # polynomial fields: the same arithmetic in the same order
+        pert = Perturbation(class_rep=1, z=np.array([0.0, 1.2]), delta=0.6,
+                            w=np.array([1.0, 0.0]))
+        psys = PerturbedSystem(hopf, [pert], 1e-2)
+        for sys, x0 in ((psys, np.array([1.0, 0.0])), (wave[0], wave[1])):
+            field = sys.flow_args()
+            x, phi = field.flow_variational(x0, 1e-2, 200, 1e-6)
+            x_ref, phi_ref = _variational_reference(field, x0, 1e-2, 200, 1e-6)
+            assert np.array_equal(x, x_ref) and np.array_equal(phi, phi_ref)
+
+    def test_bumped_orbit_matches_flowmap(self, hopf):
+        pert = Perturbation(class_rep=1, z=np.array([0.0, 1.2]), delta=0.6,
+                            w=np.array([1.0, 0.0]))
+        psys = PerturbedSystem(hopf, [pert], 1e-2)
+        orb = find_periodic_orbit(psys, np.array([1.2, 0.0]), 6.0, h=1e-2)
+        ref = monodromy_matrix(psys, orb.anchor, orb.period, h=orb.step,
+                               method="flowmap")
+        assert np.max(np.abs(orb.monodromy - ref)) < 1e-8
+        unbumped = monodromy_matrix(hopf, orb.anchor, orb.period, h=orb.step)
+        assert np.max(np.abs(orb.monodromy - unbumped)) > 1e-4
+
+    def test_doubled_orbit_matches_flowmap(self, wave):
+        from ccnet.quotient import double, doubled_system, shear
+        sys, guess, T = wave
+        orb = find_periodic_orbit(sys, guess, T, h=1e-2)
+        dsys = doubled_system(sys, double(sys.network))
+        orb2 = orbit_from_point(dsys, shear(orb, 1.0 / 3.0)[0], orb.period,
+                                h=1e-2, tol=1e-6)
+        ref = monodromy_matrix(dsys, orb2.anchor, orb2.period, h=orb2.step,
+                               method="flowmap")
+        assert orb2.monodromy.shape == (12, 12)
+        assert np.max(np.abs(orb2.monodromy - ref)) < 1e-8
+
+    def test_diverging_pass_stops_at_the_guard(self, ring):
+        # x' = x passes the 1e8 guard near t = 18; without the periodic
+        # check the pass would run to t = 1000 and overflow to inf
+        from ccnet import _compile
+        sys = AdmissibleSystem(ring, {"P": 1, "Q": 1}, {1: "x[1]", 3: "x[1]"})
+        with pytest.raises(FlowDiverged, match="blow-up guard"):
+            monodromy_matrix(sys, np.ones(3), 1000.0, h=1e-2)
+        field = sys.compiled
+        x, _, status = _compile.rk4_variational(field.rhs_block, *field.pack,
+                                                np.ones(3), 1e-2, 100000, 1e-6)
+        assert status == _compile.BLOWUP
+        assert 1e8 < np.max(np.abs(x)) < 1e10
 
 
 class TestHyperbolicity:
