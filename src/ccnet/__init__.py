@@ -5,7 +5,7 @@ Submodules
 network     typed multigraphs, input/state equivalence, components, automorphisms
 colouring   colourings, balance, the refinement lattice, enumeration
 expr        the component expression language
-admissible  admissible systems, bumps, symmetrisation, C1 estimates
+admissible  admissible systems, perturbations, C1 estimates
 quotient    quasi-quotients, restrict/lift, doubling, shearing
 odeequiv    adjacency matrices, linear equivalence, 2-node classification
 dynamics    integration, periodic orbits, Floquet, pattern detection
@@ -24,9 +24,8 @@ from .colouring import (Colouring, ColouringError, LatticePosition, compare,
                         validate_colouring)
 from .expr import Arity, ComponentExpr, ExprError, parse_component
 from .admissible import (AdmissibleError, AdmissibleSystem, Perturbation,
-                         PerturbationSpec, PerturbedSystem, StateLayout, bump,
-                         c1_norm_estimate, symmetrise_component,
-                         symmetrised_bump, system_from_json)
+                         PerturbedSystem, StateLayout, c1_norm_estimate,
+                         symmetrise_component, system_from_json)
 from .quotient import (DoubledNetwork, QuasiQuotient, constraint_residual,
                        double, doubled_system, find_good_representatives, lift,
                        quasi_quotient, restrict, shear)

@@ -2,13 +2,12 @@
 
 The right-hand side of a system is generated as python source and compiled
 twice from the same text: a scalar rhs over one state vector, which the
-RK4 flow drivers call, and a block rhs over an (n, B) array of states, which
+RK4 flow driver calls, and a block rhs over an (n, B) array of states, which
 the variational driver calls once per stage to get the state derivative
-and a central-difference Jacobian together.  When numba is importable both
-are jit-compiled together with these drivers.  Additive bump perturbations
+and a central-difference Jacobian together.  Additive bump perturbations
 are passed as packed index/coefficient arrays so that a perturbed system
-reuses the base compilation.  The pure-python fallback runs the identical
-code paths, only slower.
+reuses the base compilation; both drivers skip the bump pass when the pack
+is empty.
 """
 
 from __future__ import annotations
@@ -16,19 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-
-    def _jit(fn):
-        return numba.njit(fn, cache=False, fastmath=False)
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def _jit(fn):
-        return fn
 
 OK = 0
 BLOWUP = 1
@@ -80,113 +66,55 @@ def _apply_bumps(x, out, row_start, gather, arg_len, out_off, out_dim,
                     out[o + i] += val * w[b, i]
 
 
-def _rk4_flow(rhs, row_start, gather, arg_len, out_off, out_dim, perm_start,
-              perms, z, inv_d2, w, x0, h, nsteps):
-    """Classical fixed-step RK4 over rhs + bumps; returns (x_final, status)."""
-    n = x0.shape[0]
-    x = x0.copy()
-    k1 = np.empty(n)
-    k2 = np.empty(n)
-    k3 = np.empty(n)
-    k4 = np.empty(n)
-    tmp = np.empty(n)
-    for step in range(nsteps):
-        rhs(x, k1)
-        _apply_bumps(x, k1, row_start, gather, arg_len, out_off, out_dim,
-                     perm_start, perms, z, inv_d2, w)
-        for i in range(n):
-            tmp[i] = x[i] + 0.5 * h * k1[i]
-        rhs(tmp, k2)
-        _apply_bumps(tmp, k2, row_start, gather, arg_len, out_off, out_dim,
-                     perm_start, perms, z, inv_d2, w)
-        for i in range(n):
-            tmp[i] = x[i] + 0.5 * h * k2[i]
-        rhs(tmp, k3)
-        _apply_bumps(tmp, k3, row_start, gather, arg_len, out_off, out_dim,
-                     perm_start, perms, z, inv_d2, w)
-        for i in range(n):
-            tmp[i] = x[i] + h * k3[i]
-        rhs(tmp, k4)
-        _apply_bumps(tmp, k4, row_start, gather, arg_len, out_off, out_dim,
-                     perm_start, perms, z, inv_d2, w)
-        for i in range(n):
-            x[i] = x[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-        if step % 64 == 0:
-            m = 0.0
-            for i in range(n):
-                a = abs(x[i])
-                if a > m:
-                    m = a
-            if m > _BLOWUP_NORM:
-                return x, BLOWUP
-            if not math.isfinite(m):
-                return x, NONFINITE
-    for i in range(n):
-        if not math.isfinite(x[i]):
-            return x, NONFINITE
-    m = 0.0
-    for i in range(n):
-        a = abs(x[i])
-        if a > m:
-            m = a
+def _guard(x: np.ndarray) -> int:
+    """Status of a state under the blow-up guard."""
+    m = np.max(np.abs(x))
     if m > _BLOWUP_NORM:
-        return x, BLOWUP
-    return x, OK
-
-
-def _rk4_record(rhs, row_start, gather, arg_len, out_off, out_dim, perm_start,
-                perms, z, inv_d2, w, x0, h, nsteps, every, traj):
-    """As _rk4_flow but filling traj[(nsteps // every) + 1, n] with samples
-    at steps 0, every, 2*every, ..."""
-    n = x0.shape[0]
-    x = x0.copy()
-    k1 = np.empty(n)
-    k2 = np.empty(n)
-    k3 = np.empty(n)
-    k4 = np.empty(n)
-    tmp = np.empty(n)
-    row = 0
-    for i in range(n):
-        traj[row, i] = x[i]
-    for step in range(nsteps):
-        rhs(x, k1)
-        _apply_bumps(x, k1, row_start, gather, arg_len, out_off, out_dim,
-                     perm_start, perms, z, inv_d2, w)
-        for i in range(n):
-            tmp[i] = x[i] + 0.5 * h * k1[i]
-        rhs(tmp, k2)
-        _apply_bumps(tmp, k2, row_start, gather, arg_len, out_off, out_dim,
-                     perm_start, perms, z, inv_d2, w)
-        for i in range(n):
-            tmp[i] = x[i] + 0.5 * h * k2[i]
-        rhs(tmp, k3)
-        _apply_bumps(tmp, k3, row_start, gather, arg_len, out_off, out_dim,
-                     perm_start, perms, z, inv_d2, w)
-        for i in range(n):
-            tmp[i] = x[i] + h * k3[i]
-        rhs(tmp, k4)
-        _apply_bumps(tmp, k4, row_start, gather, arg_len, out_off, out_dim,
-                     perm_start, perms, z, inv_d2, w)
-        for i in range(n):
-            x[i] = x[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-        if (step + 1) % every == 0:
-            row += 1
-            for i in range(n):
-                traj[row, i] = x[i]
-            m = 0.0
-            for i in range(n):
-                a = abs(x[i])
-                if a > m:
-                    m = a
-            if m > _BLOWUP_NORM:
-                return BLOWUP
-            if not math.isfinite(m):
-                return NONFINITE
+        return BLOWUP
+    if not math.isfinite(m):
+        return NONFINITE
     return OK
 
 
-def _rk4_variational(rhs_block, row_start, gather, arg_len, out_off, out_dim,
-                     perm_start, perms, z, inv_d2, w, x0, h, nsteps, fd):
+def rk4_flow(rhs, row_start, gather, arg_len, out_off, out_dim, perm_start,
+             perms, z, inv_d2, w, x0, h, nsteps, every):
+    """Classical fixed-step RK4 over rhs + bumps.
+
+    Returns (x_final, traj, status), traj[(nsteps // every) + 1, n] holding
+    the states at steps 0, every, 2*every, ...  The blow-up guard is checked
+    every 64 steps and after the last one.
+    """
+    n = x0.shape[0]
+    bumped = row_start.shape[0] > 1
+
+    def field(y):
+        out = np.empty(n)
+        rhs(y, out)
+        if bumped:
+            _apply_bumps(y, out, row_start, gather, arg_len, out_off, out_dim,
+                         perm_start, perms, z, inv_d2, w)
+        return out
+
+    x = x0.copy()
+    traj = np.empty((nsteps // every + 1, n))
+    traj[0] = x
+    for step in range(nsteps):
+        k1 = field(x)
+        k2 = field(x + 0.5 * h * k1)
+        k3 = field(x + 0.5 * h * k2)
+        k4 = field(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (step + 1) % every == 0:
+            traj[(step + 1) // every] = x
+        if step % 64 == 0 or step == nsteps - 1:
+            status = _guard(x)
+            if status != OK:
+                return x, traj, status
+    return x, traj, OK
+
+
+def rk4_variational(rhs_block, row_start, gather, arg_len, out_off, out_dim,
+                    perm_start, perms, z, inv_d2, w, x0, h, nsteps, fd):
     """Integrate state and fundamental matrix together.
 
     Each RK4 stage evaluates the block rhs once on the (n, 2n+1) block
@@ -195,7 +123,7 @@ def _rk4_variational(rhs_block, row_start, gather, arg_len, out_off, out_dim,
     fundamental-matrix slope is J p.  The systematic O(fd^2) bias integrates
     smoothly, so monodromy matrices come out far more accurately than
     differencing the time-T flow map.  Returns (x, phi, status), checking
-    the blow-up guard every 64 steps as the flow drivers do.
+    the blow-up guard every 64 steps as the flow driver does.
     """
     n = x0.shape[0]
     x = x0.copy()
@@ -226,24 +154,12 @@ def _rk4_variational(rhs_block, row_start, gather, arg_len, out_off, out_dim,
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         phi = phi + (h / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
         if step % 64 == 0 or step == nsteps - 1:
-            m = np.max(np.abs(x))
-            if m > _BLOWUP_NORM:
-                return x, phi, BLOWUP
-            if not (math.isfinite(m) and np.all(np.isfinite(phi))):
-                return x, phi, NONFINITE
+            status = _guard(x)
+            if status == OK and not np.all(np.isfinite(phi)):
+                status = NONFINITE
+            if status != OK:
+                return x, phi, status
     return x, phi, OK
-
-
-if HAVE_NUMBA:
-    _psi = _jit(_psi)
-    _apply_bumps = _jit(_apply_bumps)
-    rk4_flow = _jit(_rk4_flow)
-    rk4_record = _jit(_rk4_record)
-    rk4_variational = _jit(_rk4_variational)
-else:  # pragma: no cover
-    rk4_flow = _rk4_flow
-    rk4_record = _rk4_record
-    rk4_variational = _rk4_variational
 
 
 def empty_pack() -> tuple:
@@ -261,7 +177,7 @@ def empty_pack() -> tuple:
 
 
 def compile_rhs(source: str, namespace: dict, block: bool = False):
-    """Exec generated source and jit the resulting rhs(s, out) function.
+    """Exec generated source and return the resulting rhs(s, out) function.
 
     The source calls sin/cos/exp/tanh by bare name.  They are bound to
     math's for the scalar rhs, where s and out are state vectors, and to
@@ -272,4 +188,4 @@ def compile_rhs(source: str, namespace: dict, block: bool = False):
     ns = {name: getattr(lib, name) for name in ("sin", "cos", "exp", "tanh")}
     ns.update(namespace)
     exec(compile(source, "<ccnet-rhs>", "exec"), ns)
-    return _jit(ns["rhs"])
+    return ns["rhs"]

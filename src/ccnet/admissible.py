@@ -6,9 +6,11 @@ the sharing required for admissibility is structural.  What remains is
 vertex-group invariance of each component, either checked numerically at
 construction or enforced by averaging over the group (symmetrise flag).
 
-The module also provides the perturbation toolkit: plateau bump fields,
-group-invariant (symmetrised) bumps that vanish on prescribed orbits, and
-a grid estimator for the C1 norm used to calibrate perturbation sizes.
+The module also provides the perturbation toolkit: the one bump field,
+Perturbation, a plateau averaged over the group translates of its centre
+and packed for the flow drivers by PerturbedSystem; symmetrise_component,
+the one vertex-group average; and a grid estimator for the C1 norm used to
+calibrate perturbation sizes.
 """
 
 from __future__ import annotations
@@ -90,12 +92,17 @@ def layout_for(net: Network, dims: Mapping[str, int]) -> StateLayout:
 
 # -- compiled field -----------------------------------------------------------
 
-class CompiledField:
-    """A jit-compiled rhs, its block twin over (n, B) arrays of states, and
-    an (optionally empty) perturbation pack.
+# floating-point warnings the drivers and evaluate turn off: divergence is
+# reported through FlowDiverged or an attributed AdmissibleError instead
+_QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
 
-    The drivers run with NumPy's overflow and invalid-value warnings off:
-    a diverging trajectory is reported through FlowDiverged instead.
+
+class CompiledField:
+    """A compiled rhs, its block twin over (n, B) arrays of states, and an
+    (optionally empty) perturbation pack.
+
+    The drivers run with NumPy's floating-point warnings off: a diverging
+    trajectory is reported through FlowDiverged instead.
     """
 
     def __init__(self, rhs, rhs_block, pack, layout: StateLayout):
@@ -108,30 +115,28 @@ class CompiledField:
         out = np.zeros(self.layout.total_dim)
         x = np.ascontiguousarray(x, dtype=float)
         self.rhs(x, out)
-        _compile._apply_bumps(x, out, *self.pack)
+        if self.pack[0].shape[0] > 1:
+            _compile._apply_bumps(x, out, *self.pack)
         return out
 
     def flow(self, x0: np.ndarray, h: float, nsteps: int) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            x, status = _compile.rk4_flow(self.rhs, *self.pack,
-                                          np.ascontiguousarray(x0, dtype=float),
-                                          h, nsteps)
-        _raise_status(status)
-        return x
+        return self._rk4(x0, h, nsteps, max(nsteps, 1))[0]
 
     def flow_record(self, x0: np.ndarray, h: float, nsteps: int,
                     every: int) -> np.ndarray:
-        traj = np.empty((nsteps // every + 1, self.layout.total_dim))
-        with np.errstate(over="ignore", invalid="ignore"):
-            status = _compile.rk4_record(self.rhs, *self.pack,
-                                         np.ascontiguousarray(x0, dtype=float),
-                                         h, nsteps, every, traj)
+        return self._rk4(x0, h, nsteps, every)[1]
+
+    def _rk4(self, x0, h, nsteps, every):
+        with np.errstate(**_QUIET):
+            x, traj, status = _compile.rk4_flow(
+                self.rhs, *self.pack, np.ascontiguousarray(x0, dtype=float),
+                h, nsteps, every)
         _raise_status(status)
-        return traj
+        return x, traj
 
     def flow_variational(self, x0: np.ndarray, h: float, nsteps: int,
                          fd: float) -> tuple[np.ndarray, np.ndarray]:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(**_QUIET):
             x, phi, status = _compile.rk4_variational(
                 self.rhs_block, *self.pack,
                 np.ascontiguousarray(x0, dtype=float), h, nsteps, fd)
@@ -288,38 +293,27 @@ class AdmissibleSystem:
             raise AdmissibleError(
                 f"state has dimension {x.shape}, system expects "
                 f"({self.layout.total_dim},)")
-        try:
-            out = self.compiled.eval(x)
-        except (ArithmeticError, ValueError):
-            out = None
-        if out is None or not np.all(np.isfinite(out)):
-            self._evaluate_slow(x)  # raises with attribution
-            raise AdmissibleError("non-finite value with no attributable source")
+        with np.errstate(**_QUIET):
+            try:
+                out = self.compiled.eval(x)
+            except (ArithmeticError, ValueError):
+                out = None
+            if out is None or not np.all(np.isfinite(out)):
+                self._evaluate_slow(x)  # raises with attribution
+                raise AdmissibleError("non-finite value with no attributable source")
         return out
 
     def _evaluate_slow(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros(self.layout.total_dim)
         for c in self.network.node_ids:
-            xc = x[self.layout.slice_of(c)]
             inputs = [x[self.layout.slice_of(t)] for t in self.network.input_tails(c)]
-            comp = self.component_for(c)
             try:
-                if self.symmetrise:
-                    group = vertex_group(self.network, self.class_rep(c))
-                    vals = np.zeros(len(xc))
-                    for perm in group.elements(cap=_SYMMETRISE_CAP):
-                        permuted = [inputs[perm[j]] for j in range(len(inputs))]
-                        vals += np.asarray(comp.evaluate(xc, permuted))
-                    out[self.layout.slice_of(c)] = vals / group.order
-                else:
-                    out[self.layout.slice_of(c)] = comp.evaluate(xc, inputs)
+                out[self.layout.slice_of(c)] = self.component_value(
+                    c, x[self.layout.slice_of(c)], inputs)
             except EvaluationError as exc:
                 raise AdmissibleError(
                     f"node {c}: non-finite value in {exc.subexpr!r}") from None
         return out
-
-    def rhs(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)
 
     def flow_args(self):
         return self.compiled
@@ -328,17 +322,11 @@ class AdmissibleSystem:
                         inputs: Sequence[Sequence[float]]) -> np.ndarray:
         """Value of node c's component at explicit arguments, honouring the
         symmetrise flag."""
-        comp = self.component_for(c)
-        self_val = np.asarray(self_val, dtype=float)
+        fn = self.component_for(c).evaluate
         if self.symmetrise:
-            group = vertex_group(self.network, self.class_rep(c))
-            elements = group.elements(cap=_SYMMETRISE_CAP)
-            acc = np.zeros(len(self_val))
-            for perm in elements:
-                acc += np.asarray(comp.evaluate(
-                    self_val, [inputs[perm[j]] for j in range(len(inputs))]))
-            return acc / len(elements)
-        return np.asarray(comp.evaluate(self_val, list(inputs)), dtype=float)
+            fn = symmetrise_component(fn, vertex_group(self.network, self.class_rep(c)))
+        return np.asarray(fn(np.asarray(self_val, dtype=float), list(inputs)),
+                          dtype=float)
 
     # -- JSON -----------------------------------------------------------------
 
@@ -437,19 +425,8 @@ def invariance_residual(sys: AdmissibleSystem, c: int,
     lay = sys.layout
     xc = x[lay.slice_of(c)]
     inputs = [x[lay.slice_of(t)] for t in sys.network.input_tails(c)]
-    comp = sys.component_for(c)
-
-    def value(inp):
-        if sys.symmetrise:
-            group = vertex_group(sys.network, sys.class_rep(c))
-            acc = np.zeros(len(xc))
-            for g in group.elements(cap=_SYMMETRISE_CAP):
-                acc += np.asarray(comp.evaluate(xc, [inp[g[j]] for j in range(len(inp))]))
-            return acc / group.order
-        return np.asarray(comp.evaluate(xc, inputs=inp))
-
-    base = value(inputs)
-    permuted = value([inputs[perm[j]] for j in range(len(inputs))])
+    base = sys.component_value(c, xc, inputs)
+    permuted = sys.component_value(c, xc, [inputs[perm[j]] for j in range(len(inputs))])
     return float(np.max(np.abs(permuted - base))) if len(base) else 0.0
 
 
@@ -474,42 +451,7 @@ def symmetrise_component(fn: Callable, group: VertexGroup,
     return averaged
 
 
-# -- bump fields -------------------------------------------------------------------
-
-def bump_profile(s: float) -> float:
-    """Plateau profile in squared-radius units: 1 on [0,1], 0 on [4,inf)."""
-    return _compile._psi(float(s))
-
-
-def bump(z: Sequence[float], delta: float, w: Sequence[float]) -> Callable:
-    """Smooth field equal to w on the closed delta-ball at z and zero
-    outside the 2*delta ball, built from the plateau profile applied to the
-    squared distance."""
-    if delta <= 0:
-        raise AdmissibleError("bump radius must be positive")
-    z = np.asarray(z, dtype=float)
-    w = np.asarray(w, dtype=float)
-    inv_d2 = 1.0 / (delta * delta)
-
-    def fn(y):
-        y = np.asarray(y, dtype=float)
-        s = float(np.sum((y - z) ** 2)) * inv_d2
-        return bump_profile(s) * w
-
-    return fn
-
-
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """A symmetrised-bump request: push value w near the group orbit of
-    centre, staying zero on the group orbit of the avoid set."""
-
-    class_rep: int
-    centre: np.ndarray
-    radius: float
-    value: np.ndarray
-    avoid: tuple[np.ndarray, ...] = ()
-
+# -- packed additive perturbations ----------------------------------------------------
 
 def arg_permutations(group: VertexGroup, arity: Arity) -> list[tuple[int, ...]]:
     """Slot permutations of the vertex group as index permutations of the
@@ -528,56 +470,6 @@ def arg_permutations(group: VertexGroup, arity: Arity) -> list[tuple[int, ...]]:
         out.append(tuple(idx))
     return out
 
-
-def group_orbit(point: np.ndarray, perms: Sequence[Sequence[int]]) -> list[np.ndarray]:
-    point = np.asarray(point, dtype=float)
-    return [point[np.asarray(p)] for p in perms]
-
-
-def symmetrised_bump(spec: PerturbationSpec, group: VertexGroup,
-                     arity: Arity) -> Callable:
-    """Group-invariant bump: w within delta of orbit(centre), zero beyond
-    2*delta of it and zero on orbit(avoid).
-
-    The radius is shrunk below half the separation between the two orbits;
-    intersecting orbits are a hard failure naming the colliding points.
-    """
-    perms = arg_permutations(group, arity)
-    centre_orbit = group_orbit(spec.centre, perms)
-    min_sep = np.inf
-    for a in spec.avoid:
-        for pa in group_orbit(np.asarray(a, dtype=float), perms):
-            for pz in centre_orbit:
-                d = float(np.linalg.norm(pa - pz))
-                if d == 0.0:
-                    raise AdmissibleError(
-                        f"avoid-set orbit meets the centre orbit at "
-                        f"{pa.tolist()}; no admissible bump exists")
-                min_sep = min(min_sep, d)
-    delta = spec.radius
-    if np.isfinite(min_sep):
-        delta = min(delta, 0.49 * min_sep)
-    if delta <= 0:
-        raise AdmissibleError("bump radius collapsed to zero")
-    inv_d2 = 1.0 / (delta * delta)
-    w = np.asarray(spec.value, dtype=float)
-
-    def fn(y):
-        y = np.asarray(y, dtype=float)
-        rest = 1.0
-        for pz in centre_orbit:
-            s = float(np.sum((y - pz) ** 2)) * inv_d2
-            rest *= 1.0 - bump_profile(s)
-            if rest == 0.0:
-                break
-        return (1.0 - rest) * w
-
-    fn.delta = delta  # effective radius, after shrinking
-    fn.centre_orbit = centre_orbit
-    return fn
-
-
-# -- packed additive perturbations ----------------------------------------------------
 
 @dataclass(frozen=True)
 class Perturbation:
@@ -608,24 +500,13 @@ class Perturbation:
         y = np.asarray(y, dtype=float)
         for p in perms:
             s = float(np.sum((y[np.asarray(p)] - self.z) ** 2)) * inv_d2
-            rest *= 1.0 - bump_profile(s)
+            rest *= 1.0 - _compile._psi(s)
         return (1.0 - rest) * self.scale * self.w
-
-    def field(self, sys: AdmissibleSystem) -> Callable:
-        """The full additive field on state space, as a plain callable."""
-        pack = pack_perturbations(sys, [self], 1.0)
-
-        def fn(x):
-            out = np.zeros(sys.layout.total_dim)
-            _compile._apply_bumps(np.ascontiguousarray(x, dtype=float), out, *pack)
-            return out
-
-        return fn
 
 
 def pack_perturbations(sys: AdmissibleSystem, perts: Sequence[Perturbation],
                        epsilon: float) -> tuple:
-    """Pack bump data for the jit drivers; epsilon*scale is folded into w."""
+    """Pack bump data for the flow drivers; epsilon*scale is folded into w."""
     if not perts:
         return _compile.empty_pack()
     lay = sys.layout
@@ -714,9 +595,6 @@ class PerturbedSystem:
         out = self.base.evaluate(x)
         _compile._apply_bumps(np.ascontiguousarray(x, dtype=float), out, *self._pack)
         return out
-
-    def rhs(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)
 
     def component_value(self, c: int, self_val: Sequence[float],
                         inputs: Sequence[Sequence[float]]) -> np.ndarray:

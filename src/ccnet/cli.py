@@ -14,7 +14,7 @@ import sys as _sys
 import numpy as np
 
 from . import (AdmissibleSystem, Colouring, ProbeConfig, Tolerances,
-               adjacency_matrices, case_study_3ring, classify_2node,
+               case_study_3ring, classify_2node,
                coarsest_balanced_refinement, colouring_from_json,
                colouring_to_json, detect_phase, enumerate_balanced,
                find_periodic_orbit, floquet, full_oscillation_probe,
@@ -63,7 +63,7 @@ def _emit(args, payload: dict):
 
 def _tolerances(args) -> Tolerances:
     kw = {}
-    for name in ("sync", "triv", "hyp", "flow", "orbit", "phase", "steady"):
+    for name in ("sync", "triv", "hyp", "orbit", "phase", "steady"):
         v = getattr(args, f"tol_{name}", None)
         if v is not None:
             kw[name] = v
@@ -97,8 +97,7 @@ def _add_probe_flags(p, needs_guess=True):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--h", type=float, default=1e-3, help="integration step")
     for name, default in (("sync", 1e-8), ("triv", 1e-5), ("hyp", 1e-3),
-                          ("flow", 1e-8), ("orbit", 1e-10), ("phase", 1e-6),
-                          ("steady", 1e-8)):
+                          ("orbit", 1e-10), ("phase", 1e-6), ("steady", 1e-8)):
         p.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=float,
                        default=default)
     p.add_argument("--out", help="write the JSON report here")
@@ -250,8 +249,8 @@ def _dispatch(args) -> int:
                      "bracket": {str(k): v for k, v in sorted(qq.bracket.items())}})
         return 0
     if cmd == "odeequiv":
-        n1 = network_from_json(_load_json_path(args.net1))
-        n2 = network_from_json(_load_json_path(args.net2))
+        n1 = network_from_json(_load_json(args.net1))
+        n2 = network_from_json(_load_json(args.net2))
         verdict = linearly_equivalent(n1, n2)
         _emit(args, {"equivalent": verdict,
                      "basis1": _basis_json(n1), "basis2": _basis_json(n2)})
@@ -322,10 +321,6 @@ def _dispatch(args) -> int:
         bad = any(r.violation_candidate for r in reports.values())
         return VIOLATION_EXIT if bad else 0
     raise ValueError(f"unknown command {cmd!r}")
-
-
-def _load_json_path(path_or_literal: str) -> dict:
-    return _load_json(path_or_literal)
 
 
 def _basis_json(net) -> list[list[str]]:

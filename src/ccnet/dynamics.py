@@ -51,20 +51,6 @@ class Trajectory:
     step: float
     error_estimate: float = 0.0
 
-    def window(self, lo: float | None = None, hi: float | None = None) -> np.ndarray:
-        mask = np.ones(len(self.times), dtype=bool)
-        if lo is not None:
-            mask &= self.times >= lo
-        if hi is not None:
-            mask &= self.times <= hi
-        if not mask.any():
-            raise ValueError("empty trajectory window")
-        return self.states[mask]
-
-
-def _field(sys):
-    return sys.flow_args()
-
 
 def _steps_for(span: float, h: float) -> tuple[int, float]:
     nsteps = max(16, int(math.ceil(span / h)))
@@ -84,7 +70,7 @@ def integrate(sys, x0: Sequence[float], t_span: float, h: float = 1e-3,
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial state is not finite")
-    f = _field(sys)
+    f = sys.flow_args()
     nsteps, h_eff = _steps_for(t_span, h)
     rec = max(1, min(record_every, nsteps))
     while nsteps % rec:
@@ -152,7 +138,7 @@ class PeriodicOrbit:
 def monodromy_matrix(sys, anchor: np.ndarray, T: float, h: float = 1e-3,
                      method: str = "variational") -> np.ndarray:
     """Fundamental matrix of the linearised flow over one period."""
-    f = _field(sys)
+    f = sys.flow_args()
     nsteps, h_eff = _steps_for(T, h)
     anchor = np.asarray(anchor, dtype=float)
     scale = max(1.0, float(np.linalg.norm(anchor)))
@@ -162,7 +148,6 @@ def monodromy_matrix(sys, anchor: np.ndarray, T: float, h: float = 1e-3,
         return phi
     if method == "flowmap":
         n = len(anchor)
-        base_T = f.flow(anchor, h_eff, nsteps)
         phi = np.empty((n, n))
         for j in range(n):
             xp = anchor.copy()
@@ -170,7 +155,6 @@ def monodromy_matrix(sys, anchor: np.ndarray, T: float, h: float = 1e-3,
             xm = anchor.copy()
             xm[j] -= fd
             phi[:, j] = (f.flow(xp, h_eff, nsteps) - f.flow(xm, h_eff, nsteps)) / (2 * fd)
-        del base_T
         return phi
     raise ValueError(f"unknown monodromy method {method!r}")
 
@@ -195,7 +179,7 @@ def floquet(sys, orbit: PeriodicOrbit, h: float | None = None,
 
 def _resample(sys, anchor: np.ndarray, T: float, h: float,
               n: int = ORBIT_SAMPLES) -> tuple[np.ndarray, np.ndarray]:
-    f = _field(sys)
+    f = sys.flow_args()
     nsteps, h_eff = _steps_for(T, h)
     raw = f.flow_record(anchor, h_eff, nsteps, 1)
     t_raw = np.arange(raw.shape[0]) * h_eff
@@ -231,7 +215,7 @@ def find_periodic_orbit(sys, x_guess: Sequence[float], T_guess: float,
     """
     if T_guess <= 0:
         raise ValueError("T_guess must be positive")
-    f = _field(sys)
+    f = sys.flow_args()
     x = np.asarray(x_guess, dtype=float).copy()
     T = float(T_guess)
     n = len(x)
@@ -310,7 +294,7 @@ def orbit_from_point(sys, x0: Sequence[float], T: float, h: float = 1e-3,
 
     Useful for orbits that cannot be Newton-polished because the monodromy
     is singular (structurally non-hyperbolic systems)."""
-    f = _field(sys)
+    f = sys.flow_args()
     x0 = np.asarray(x0, dtype=float)
     nsteps, h_eff = _steps_for(T, h)
     xT = f.flow(x0, h_eff, nsteps)
@@ -407,24 +391,20 @@ def is_hyperbolic(sys, orbit: PeriodicOrbit, net: Network | None = None,
 
 # -- synchrony and steadiness detection ------------------------------------------------
 
-def _traj_states(traj, window):
+def _traj_states(traj) -> np.ndarray:
     if isinstance(traj, Trajectory):
-        if window is None:
-            return traj.states
-        return traj.window(*window)
-    states = np.atleast_2d(np.asarray(traj, dtype=float))
-    return states
+        return traj.states
+    return np.atleast_2d(np.asarray(traj, dtype=float))
 
 
-def detect_synchrony(sys, traj, window: tuple[float, float] | None = None,
-                     tol: float = 1e-8) -> Colouring:
+def detect_synchrony(sys, traj, tol: float = 1e-8) -> Colouring:
     """Colouring by sup-norm coincidence of node trajectories.
 
     Only state-equivalent nodes are compared.  The tolerance is relative to
     the pair's oscillation amplitude; near-steady pairs fall back to an
     absolute threshold of the same magnitude.
     """
-    states = _traj_states(traj, window)
+    states = _traj_states(traj)
     lay = sys.layout
     net = sys.network
     blocks = {c: states[:, lay.slice_of(c)] for c in lay.node_ids}
@@ -454,10 +434,9 @@ def detect_synchrony(sys, traj, window: tuple[float, float] | None = None,
     return Colouring.from_map({c: find(c) for c in lay.node_ids})
 
 
-def detect_steady_nodes(sys, traj, window: tuple[float, float] | None = None,
-                        tol: float = 1e-8) -> frozenset[int]:
-    """Nodes whose amplitude over the window stays below tol (absolute)."""
-    states = _traj_states(traj, window)
+def detect_steady_nodes(sys, traj, tol: float = 1e-8) -> frozenset[int]:
+    """Nodes whose amplitude over the trajectory stays below tol (absolute)."""
+    states = _traj_states(traj)
     lay = sys.layout
     out = set()
     for c in lay.node_ids:

@@ -125,10 +125,17 @@ def linearly_equivalent(n1: Network, n2: Network) -> bool:
     return row_space(orbit_matrices(n1)) == row_space(orbit_matrices(n2))
 
 
-ode_equivalent = linearly_equivalent
-
-
 # -- 2-node classification ---------------------------------------------------------
+
+class ClassificationError(NetworkError):
+    """The admissible-map span of a 2-node network fits none of the eight
+    canonical classes (an internal inconsistency, never a user error)."""
+
+
+def _require(ok: bool, message: str):
+    if not ok:
+        raise ClassificationError(message)
+
 
 @dataclass(frozen=True)
 class TwoNodeClass:
@@ -177,17 +184,17 @@ def classify_2node(net: Network) -> TwoNodeClass:
         swapped = upper and not lower
         if homogeneous:
             return TwoNodeClass(6, swapped=swapped)
-        assert dim == 3, f"inhomogeneous feedforward span must be 3-dim, got {dim}"
+        _require(dim == 3, f"inhomogeneous feedforward span must be 3-dim, got {dim}")
         return TwoNodeClass(5, swapped=swapped)
 
     if not homogeneous:
-        assert dim == 4, f"inhomogeneous transitive span must be 4-dim, got {dim}"
+        _require(dim == 4, f"inhomogeneous transitive span must be 4-dim, got {dim}")
         return TwoNodeClass(3)
 
     if dim == 3:
         return TwoNodeClass(7)
 
-    assert dim == 2, f"homogeneous transitive span must be 2- or 3-dim, got {dim}"
+    _require(dim == 2, f"homogeneous transitive span must be 2- or 3-dim, got {dim}")
     candidates = [m for m in gens
                   if not (m[0][1] == 0 and m[1][0] == 0)]
     mat = None
@@ -195,7 +202,7 @@ def classify_2node(net: Network) -> TwoNodeClass:
         if m[0][1] > 0 and m[1][0] > 0:
             mat = m
             break
-    assert mat is not None, "2-dim transitive span without an all-to-all generator"
+    _require(mat is not None, "2-dim transitive span without an all-to-all generator")
     swapped = mat[0][0] > mat[1][1]
     if swapped:
         mat = _swap2(mat)
@@ -203,12 +210,13 @@ def classify_2node(net: Network) -> TwoNodeClass:
     c, d = mat[1]
     b0, c0 = b, c  # off-diagonal part survives subtracting a*I
     d0 = d - a
-    assert d0 == b0 - c0 >= 0, "homogeneous generator must reduce to [[0,b],[c,b-c]]"
+    _require(d0 == b0 - c0 >= 0,
+             "homogeneous generator must reduce to [[0,b],[c,b-c]]")
     from math import gcd
     g = gcd(b0, c0)
     b0, c0 = b0 // g, c0 // g
     p, q = b0 - c0, c0
     if p == 0:
         return TwoNodeClass(4, swapped=swapped)
-    assert q > 0, "q = 0 should have been caught by the feedforward branch"
+    _require(q > 0, "q = 0 should have been caught by the feedforward branch")
     return TwoNodeClass(8, p=p, q=q, swapped=swapped)

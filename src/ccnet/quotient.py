@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -157,17 +157,10 @@ def constraint_residual(sys, col: Colouring, representatives: Iterable[int],
             self_val = xp[lay.slice_of(r)]
             ins_c = [xp[lay.slice_of(qq.bracket[t])] for t in net.input_tails(c)]
             ins_r = [xp[lay.slice_of(qq.bracket[t])] for t in net.input_tails(r)]
-            fc = component_value(sys, c, self_val, ins_c)
-            fr = component_value(sys, r, self_val, ins_r)
+            fc = sys.component_value(c, self_val, ins_c)
+            fr = sys.component_value(r, self_val, ins_r)
             out[c].append(float(np.linalg.norm(fc - fr)))
     return {c: np.asarray(v) for c, v in out.items()}
-
-
-def component_value(sys, c: int, self_val: np.ndarray,
-                    inputs: Sequence[np.ndarray]) -> np.ndarray:
-    """Value of node c's component at explicit arguments, honouring the
-    symmetrise flag and any additive perturbations on c's class."""
-    return sys.component_value(c, self_val, inputs)
 
 
 # -- good transversals ---------------------------------------------------------

@@ -16,6 +16,7 @@ ensemble member at every epsilon.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from math import lcm
 from typing import Mapping, Sequence
@@ -26,8 +27,8 @@ from .admissible import (AdmissibleSystem, Perturbation, PerturbedSystem,
                          arg_permutations, c1_norm_estimate,
                          project_polydiagonal)
 from .colouring import Colouring, colouring_to_json, is_balanced, refines
-from .dynamics import (PHASE_GRID, CollapseToEquilibrium, NoConvergence,
-                       OrbitError, PeriodicOrbit, PhasePattern, detect_phase,
+from .dynamics import (PHASE_GRID, HyperbolicityReport, OrbitError,
+                       PeriodicOrbit, PhasePattern, detect_phase,
                        detect_steady_nodes, detect_synchrony,
                        find_periodic_orbit, is_hyperbolic, orbit_from_point,
                        upstream_closure)
@@ -46,7 +47,6 @@ class Tolerances:
     sync: float = 1e-8
     triv: float = 1e-5
     hyp: float = 1e-3
-    flow: float = 1e-8
     orbit: float = 1e-10
     phase: float = 1e-6
     steady: float = 1e-8
@@ -309,22 +309,29 @@ def _pattern_gap(sys, samples: np.ndarray, before: Colouring,
     return worst if worst > 0 else survivors
 
 
-def _select_t0(sys, orbit: PeriodicOrbit, col: Colouring) -> tuple[int, float]:
-    """Sample index maximising the minimum pairwise distance between
-    representative node values (infinity when there is a single colour)."""
+def _select_t0(report: ProbeReport, sys, orbit: PeriodicOrbit,
+               states: np.ndarray, col: Colouring,
+               tol_sync: float) -> tuple[np.ndarray, float]:
+    """Pick the sample time maximising the minimum pairwise distance between
+    representative node values (infinity when there is a single colour),
+    record it on the report, and return the state there projected onto the
+    polydiagonal of col, with the separation."""
     lay = sys.layout
     reps = col.representatives()
     pairs = [(r, s) for i, r in enumerate(reps) for s in reps[i + 1:]
              if lay.dim_of(r) == lay.dim_of(s)]
-    if not pairs:
-        return 0, np.inf
     sep = np.full(orbit.samples.shape[0], np.inf)
     for r, s in pairs:
         d = np.linalg.norm(orbit.samples[:, lay.slice_of(r)]
                            - orbit.samples[:, lay.slice_of(s)], axis=1)
         sep = np.minimum(sep, d)
-    i0 = int(np.argmax(sep))
-    return i0, float(sep[i0])
+    i0 = int(np.argmax(sep)) if pairs else 0
+    report.t0 = float(orbit.times[i0])
+    report.separation = float(sep[i0])
+    amp = max(1.0, float(np.max(np.abs(states))))
+    if report.separation <= 10 * tol_sync * amp:
+        raise ProbeError("representative coordinates are not separated at any time")
+    return project_polydiagonal(lay, col.colour_map, states[i0]), report.separation
 
 
 def _classify(balanced: bool, col0: Colouring, outcomes: list[MemberOutcome],
@@ -348,6 +355,77 @@ def _classify(balanced: bool, col0: Colouring, outcomes: list[MemberOutcome],
     return "inconclusive", persists_all
 
 
+# -- the probe skeleton -------------------------------------------------------------
+
+@contextmanager
+def _aborts_into(report):
+    """Record a ProbeError raised by the probe body as the report's abort
+    reason; the report is returned as far as it got."""
+    try:
+        yield
+    except ProbeError as exc:
+        report.aborted = str(exc)
+
+
+def _locate(cfg: ProbeConfig) -> tuple[PeriodicOrbit, HyperbolicityReport]:
+    """Find the base orbit and run its Floquet check."""
+    sys = cfg.system
+    try:
+        orbit = find_periodic_orbit(sys, cfg.x_guess, cfg.T_guess,
+                                    h=cfg.h, tol=cfg.tol.orbit)
+    except OrbitError as exc:
+        raise ProbeError(f"no orbit: {exc}") from exc
+    hyp = is_hyperbolic(sys, orbit, net=sys.network, tol_triv=cfg.tol.triv,
+                        tol_hyp=cfg.tol.hyp)
+    return orbit, hyp
+
+
+def _continue(cfg: ProbeConfig, orbit: PeriodicOrbit, rng: np.random.Generator,
+              proof: Perturbation | None, measure) -> list:
+    """Continue the base orbit over the epsilon schedule x the ensemble.
+
+    The ensemble is the proof bump, when there is one, then random bumps
+    near the base orbit up to cfg.ensemble members.  Each member's orbit is
+    re-found by continuation from the base orbit's fixed section, and
+    measure(out, psys, orb) returns the probe's record of it: out carries
+    the shared fields, and orb is None when the continuation failed
+    (out.note says why).
+    """
+    members = [] if proof is None else [("proof", proof)]
+    while len(members) < cfg.ensemble:
+        label = f"random-{len(members)}"
+        members.append((label, random_perturbation(cfg.system, orbit, rng, label)))
+    records = []
+    for eps in cfg.epsilons:
+        for m, (label, pert) in enumerate(members):
+            out = MemberOutcome(epsilon=eps, member=m, label=label,
+                                orbit_found=False)
+            psys = PerturbedSystem(cfg.system, [pert], eps)
+            try:
+                orb = find_periodic_orbit(psys, orbit.anchor, orbit.period,
+                                          h=cfg.h, tol=cfg.tol.orbit,
+                                          section=(orbit.section_point,
+                                                   orbit.section_normal))
+            except OrbitError as exc:
+                out.note = f"continuation failed: {exc}"
+                orb = None
+            else:
+                out.orbit_found = True
+                out.period = orb.period
+                out.displacement = float(np.linalg.norm(orb.anchor - orbit.anchor))
+            records.append(measure(out, psys, orb))
+    return records
+
+
+def _redetect(out: MemberOutcome, sys, states: np.ndarray, col0: Colouring,
+              tol_sync: float):
+    """Record the synchrony pattern of a perturbed orbit against col0."""
+    col = detect_synchrony(sys, states, tol=tol_sync)
+    out.colouring = col
+    out.strictly_finer = refines(col, col0) and col != col0
+    out.gap = _pattern_gap(sys, states, col0, col)
+
+
 # -- the synchrony probe ---------------------------------------------------------
 
 def rigidity_probe(cfg: ProbeConfig) -> ProbeReport:
@@ -368,103 +446,58 @@ def rigidity_probe(cfg: ProbeConfig) -> ProbeReport:
     rng = np.random.default_rng(cfg.seed)
     report = ProbeReport(kind="rigidity", seed=cfg.seed, epsilons=cfg.epsilons,
                          ensemble=cfg.ensemble, requested=cfg.colouring)
-    try:
-        orbit = find_periodic_orbit(sys, cfg.x_guess, cfg.T_guess,
-                                    h=cfg.h, tol=cfg.tol.orbit)
-    except OrbitError as exc:
-        report.aborted = f"no orbit: {exc}"
-        return report
-    report.period = orbit.period
-    report.multipliers = orbit.multipliers
-    hyp = is_hyperbolic(sys, orbit, net=net, tol_triv=cfg.tol.triv,
-                        tol_hyp=cfg.tol.hyp)
-    report.hyperbolicity = hyp.verdict
-    report.warnings.extend(hyp.warnings)
-    if hyp.verdict != "hyperbolic":
-        report.aborted = f"orbit is {hyp.verdict}; the probe requires hyperbolicity"
-        return report
+    with _aborts_into(report):
+        orbit, hyp = _locate(cfg)
+        report.period = orbit.period
+        report.multipliers = orbit.multipliers
+        report.hyperbolicity = hyp.verdict
+        report.warnings.extend(hyp.warnings)
+        if hyp.verdict != "hyperbolic":
+            raise ProbeError(f"orbit is {hyp.verdict}; the probe requires hyperbolicity")
 
-    col0 = detect_synchrony(sys, orbit.samples, tol=cfg.tol.sync)
-    report.detected = col0
-    if cfg.colouring is not None and cfg.colouring != col0:
-        report.warnings.append(
-            f"requested colouring {cfg.colouring} differs from detected {col0}; "
-            f"proceeding with the detected pattern")
-
-    i0, separation = _select_t0(sys, orbit, col0)
-    report.t0 = float(orbit.times[i0])
-    report.separation = separation
-    amp = max(1.0, float(np.max(np.abs(orbit.samples))))
-    if separation <= 10 * cfg.tol.sync * amp:
-        report.aborted = "representative coordinates are not separated at any time"
-        return report
-    x0 = project_polydiagonal(sys.layout, col0.colour_map, orbit.samples[i0])
-
-    report.balanced = is_balanced(net, col0)
-    if cfg.representatives is not None:
-        R = tuple(sorted(cfg.representatives))
-        if not col0.is_transversal(R):
-            report.aborted = f"{R} is not a transversal of the detected colouring"
-            return report
-    else:
-        try:
-            good = find_good_representatives(net, col0)
-        except NetworkError:
-            good = None
-        R = good or col0.representatives()
-        if good is None:
+        col0 = detect_synchrony(sys, orbit.samples, tol=cfg.tol.sync)
+        report.detected = col0
+        if cfg.colouring is not None and cfg.colouring != col0:
             report.warnings.append(
-                "no transversal with a single maximal component found; "
-                "using least-id representatives")
-    report.representatives = R
+                f"requested colouring {cfg.colouring} differs from detected {col0}; "
+                f"proceeding with the detected pattern")
+        x0, separation = _select_t0(report, sys, orbit, orbit.samples, col0,
+                                    cfg.tol.sync)
 
-    perts: list[tuple[str, Perturbation]] = []
-    if not report.balanced:
-        try:
-            pert, pair, case = build_proof_perturbation(sys, col0, R, x0,
-                                                        separation, rng)
-        except ProbeError as exc:
-            report.aborted = str(exc)
-            return report
-        report.conflict_pair = pair
-        report.conflict_case = case
-        perts.append(("proof", pert))
-    while len(perts) < cfg.ensemble:
-        label = f"random-{len(perts)}"
-        perts.append((label, random_perturbation(sys, orbit, rng, label)))
+        report.balanced = is_balanced(net, col0)
+        if cfg.representatives is not None:
+            R = tuple(sorted(cfg.representatives))
+            if not col0.is_transversal(R):
+                raise ProbeError(f"{R} is not a transversal of the detected colouring")
+        else:
+            try:
+                good = find_good_representatives(net, col0)
+            except NetworkError:
+                good = None
+            R = good or col0.representatives()
+            if good is None:
+                report.warnings.append(
+                    "no transversal with a single maximal component found; "
+                    "using least-id representatives")
+        report.representatives = R
 
-    for eps in cfg.epsilons:
-        for m, (label, pert) in enumerate(perts):
-            report.outcomes.append(
-                _run_member(cfg, sys, orbit, col0, R, report.t0, eps, m, label, pert))
+        proof = None
+        if not report.balanced:
+            proof, report.conflict_pair, report.conflict_case = \
+                build_proof_perturbation(sys, col0, R, x0, separation, rng)
 
-    report.classification, report.violation_candidate = _classify(
-        report.balanced, col0, report.outcomes, cfg.epsilons, cfg.tol.sync)
+        def measure(out, psys, orb):
+            if orb is not None:
+                _redetect(out, psys, orb.samples, col0, cfg.tol.sync)
+                res = _constraint_residual(psys, col0, R, orb.at(report.t0)[None, :])
+                out.constraint_residual = max((float(v[0]) for v in res.values()),
+                                              default=0.0)
+            return out
+
+        report.outcomes = _continue(cfg, orbit, rng, proof, measure)
+        report.classification, report.violation_candidate = _classify(
+            report.balanced, col0, report.outcomes, cfg.epsilons, cfg.tol.sync)
     return report
-
-
-def _run_member(cfg: ProbeConfig, sys: AdmissibleSystem, orbit: PeriodicOrbit,
-                col0: Colouring, R: Sequence[int], t0: float, eps: float,
-                member: int, label: str, pert: Perturbation) -> MemberOutcome:
-    psys = PerturbedSystem(sys, [pert], eps)
-    out = MemberOutcome(epsilon=eps, member=member, label=label, orbit_found=False)
-    try:
-        orb = find_periodic_orbit(psys, orbit.anchor, orbit.period, h=cfg.h,
-                                  tol=cfg.tol.orbit,
-                                  section=(orbit.section_point, orbit.section_normal))
-    except OrbitError as exc:
-        out.note = f"continuation failed: {exc}"
-        return out
-    out.orbit_found = True
-    out.period = orb.period
-    out.displacement = float(np.linalg.norm(orb.anchor - orbit.anchor))
-    col = detect_synchrony(psys, orb.samples, tol=cfg.tol.sync)
-    out.colouring = col
-    out.strictly_finer = refines(col, col0) and col != col0
-    out.gap = _pattern_gap(psys, orb.samples, col0, col)
-    res = _constraint_residual(psys, col0, R, orb.at(t0)[None, :])
-    out.constraint_residual = max((float(v[0]) for v in res.values()), default=0.0)
-    return out
 
 
 # -- the built-in case studies ------------------------------------------------------
@@ -518,105 +551,60 @@ def phase_probe(cfg: ProbeConfig, theta: float) -> ProbeReport:
     theta = float(theta) % 1.0
     report = ProbeReport(kind="phase", seed=cfg.seed, epsilons=cfg.epsilons,
                          ensemble=cfg.ensemble, theta=theta)
-    try:
-        orbit = find_periodic_orbit(sys, cfg.x_guess, cfg.T_guess,
-                                    h=cfg.h, tol=cfg.tol.orbit)
-    except OrbitError as exc:
-        report.aborted = f"no orbit: {exc}"
-        return report
-    report.period = orbit.period
-    base_hyp = is_hyperbolic(sys, orbit, net=net, tol_triv=cfg.tol.triv,
-                             tol_hyp=cfg.tol.hyp)
-    if base_hyp.verdict != "hyperbolic":
-        report.aborted = f"base orbit is {base_hyp.verdict}"
-        return report
+    with _aborts_into(report):
+        orbit, base_hyp = _locate(cfg)
+        report.period = orbit.period
+        if base_hyp.verdict != "hyperbolic":
+            raise ProbeError(f"base orbit is {base_hyp.verdict}")
 
-    pattern = detect_phase(sys, orbit, tol=cfg.tol.phase)
-    seen = any(p.contains(theta) and (c != d or theta > 0)
-               for (c, d), p in pattern.pairs.items())
-    if not seen:
-        report.aborted = f"theta={theta} is not in the detected phase pattern"
-        return report
+        pattern = detect_phase(sys, orbit, tol=cfg.tol.phase)
+        if not any(p.contains(theta) and (c != d or theta > 0)
+                   for (c, d), p in pattern.pairs.items()):
+            raise ProbeError(f"theta={theta} is not in the detected phase pattern")
 
-    dbl = double(net)
-    dsys = doubled_system(sys, dbl)
-    sheared = shear(orbit, theta)
-    try:
-        orb2 = orbit_from_point(dsys, sheared[0], orbit.period, h=cfg.h, tol=1e-6)
-    except OrbitError as exc:
-        report.aborted = f"sheared orbit does not close: {exc}"
-        return report
-    report.multipliers = orb2.multipliers
-    hyp2 = is_hyperbolic(dsys, orb2, net=dbl.network, tol_triv=cfg.tol.triv,
-                         tol_hyp=cfg.tol.hyp)
-    report.hyperbolicity = hyp2.verdict
-    report.warnings.extend(hyp2.warnings)
-    if not hyp2.quasi_hyperbolic:
-        report.aborted = ("sheared orbit is not quasi-hyperbolic "
-                          f"({hyp2.near_one} unit multipliers)")
-        return report
-
-    col0 = detect_synchrony(dsys, sheared, tol=cfg.tol.sync)
-    report.detected = col0
-    report.balanced = is_balanced(dbl.network, col0)
-    i0, separation = _select_t0(dsys, orb2, col0)
-    report.t0 = float(orb2.times[i0])
-    report.separation = separation
-    amp = max(1.0, float(np.max(np.abs(sheared))))
-    if separation <= 10 * cfg.tol.sync * amp:
-        report.aborted = "representative coordinates are not separated at any time"
-        return report
-    x0 = project_polydiagonal(dsys.layout, col0.colour_map, sheared[i0])
-
-    try:
-        good = find_good_representatives(dbl.network, col0)
-    except NetworkError:
-        good = None
-    R = good or col0.representatives()
-    report.representatives = R
-
-    perts: list[tuple[str, Perturbation]] = []
-    if not report.balanced:
+        dbl = double(net)
+        dsys = doubled_system(sys, dbl)
+        sheared = shear(orbit, theta)
         try:
-            pert2, pair, case = build_proof_perturbation(dsys, col0, R, x0,
-                                                         separation, rng)
-        except ProbeError as exc:
-            report.aborted = str(exc)
-            return report
-        report.conflict_pair = pair
-        report.conflict_case = case
-        _, base_rep = dbl.copy_of(dsys.class_rep(pert2.class_rep))
-        perts.append(("proof", replace(pert2, class_rep=base_rep)))
-    while len(perts) < cfg.ensemble:
-        label = f"random-{len(perts)}"
-        perts.append((label, random_perturbation(sys, orbit, rng, label)))
+            orb2 = orbit_from_point(dsys, sheared[0], orbit.period, h=cfg.h, tol=1e-6)
+        except OrbitError as exc:
+            raise ProbeError(f"sheared orbit does not close: {exc}") from exc
+        report.multipliers = orb2.multipliers
+        hyp2 = is_hyperbolic(dsys, orb2, net=dbl.network, tol_triv=cfg.tol.triv,
+                             tol_hyp=cfg.tol.hyp)
+        report.hyperbolicity = hyp2.verdict
+        report.warnings.extend(hyp2.warnings)
+        if not hyp2.quasi_hyperbolic:
+            raise ProbeError("sheared orbit is not quasi-hyperbolic "
+                             f"({hyp2.near_one} unit multipliers)")
 
-    for eps in cfg.epsilons:
-        for m, (label, pert) in enumerate(perts):
-            out = MemberOutcome(epsilon=eps, member=m, label=label,
-                                orbit_found=False)
-            psys = PerturbedSystem(sys, [pert], eps)
-            try:
-                orb = find_periodic_orbit(psys, orbit.anchor, orbit.period,
-                                          h=cfg.h, tol=cfg.tol.orbit,
-                                          section=(orbit.section_point,
-                                                   orbit.section_normal))
-            except OrbitError as exc:
-                out.note = f"continuation failed: {exc}"
-                report.outcomes.append(out)
-                continue
-            out.orbit_found = True
-            out.period = orb.period
-            out.displacement = float(np.linalg.norm(orb.anchor - orbit.anchor))
-            sheared_e = shear(orb, theta)
-            col = detect_synchrony(dsys, sheared_e, tol=cfg.tol.sync)
-            out.colouring = col
-            out.strictly_finer = refines(col, col0) and col != col0
-            out.gap = _pattern_gap(dsys, sheared_e, col0, col)
-            report.outcomes.append(out)
+        col0 = detect_synchrony(dsys, sheared, tol=cfg.tol.sync)
+        report.detected = col0
+        report.balanced = is_balanced(dbl.network, col0)
+        x0, separation = _select_t0(report, dsys, orb2, sheared, col0,
+                                    cfg.tol.sync)
+        try:
+            good = find_good_representatives(dbl.network, col0)
+        except NetworkError:
+            good = None
+        R = good or col0.representatives()
+        report.representatives = R
 
-    report.classification, report.violation_candidate = _classify(
-        report.balanced, col0, report.outcomes, cfg.epsilons, cfg.tol.sync)
+        proof = None
+        if not report.balanced:
+            pert2, report.conflict_pair, report.conflict_case = \
+                build_proof_perturbation(dsys, col0, R, x0, separation, rng)
+            _, base_rep = dbl.copy_of(dsys.class_rep(pert2.class_rep))
+            proof = replace(pert2, class_rep=base_rep)
+
+        def measure(out, psys, orb):
+            if orb is not None:
+                _redetect(out, dsys, shear(orb, theta), col0, cfg.tol.sync)
+            return out
+
+        report.outcomes = _continue(cfg, orbit, rng, proof, measure)
+        report.classification, report.violation_candidate = _classify(
+            report.balanced, col0, report.outcomes, cfg.epsilons, cfg.tol.sync)
     return report
 
 
@@ -655,41 +643,27 @@ def full_oscillation_probe(cfg: ProbeConfig) -> OscillationReport:
     net = sys.network
     rng = np.random.default_rng(cfg.seed)
     report = OscillationReport()
-    try:
-        orbit = find_periodic_orbit(sys, cfg.x_guess, cfg.T_guess,
-                                    h=cfg.h, tol=cfg.tol.orbit)
-    except OrbitError as exc:
-        report.aborted = f"no orbit: {exc}"
-        return report
-    hyp = is_hyperbolic(sys, orbit, net=net, tol_triv=cfg.tol.triv,
-                        tol_hyp=cfg.tol.hyp)
-    if hyp.verdict != "hyperbolic":
-        report.aborted = f"orbit is {hyp.verdict}; continuation needs hyperbolicity"
-        return report
-    steady0 = detect_steady_nodes(sys, orbit.samples, tol=cfg.tol.steady)
-    report.steady_unperturbed = steady0
-    rigid = set(steady0)
-    perts = [random_perturbation(sys, orbit, rng, f"random-{m}")
-             for m in range(cfg.ensemble)]
-    for eps in cfg.epsilons:
-        for m, pert in enumerate(perts):
-            psys = PerturbedSystem(sys, [pert], eps)
-            try:
-                orb = find_periodic_orbit(psys, orbit.anchor, orbit.period,
-                                          h=cfg.h, tol=cfg.tol.orbit,
-                                          section=(orbit.section_point,
-                                                   orbit.section_normal))
-            except OrbitError:
-                report.outcomes.append((eps, m, ()))
-                continue
+    with _aborts_into(report):
+        orbit, hyp = _locate(cfg)
+        if hyp.verdict != "hyperbolic":
+            raise ProbeError(f"orbit is {hyp.verdict}; continuation needs hyperbolicity")
+        steady0 = detect_steady_nodes(sys, orbit.samples, tol=cfg.tol.steady)
+        report.steady_unperturbed = steady0
+        rigid = set(steady0)
+
+        def measure(out, psys, orb):
+            if orb is None:
+                return out.epsilon, out.member, ()
             steady = detect_steady_nodes(psys, orb.samples, tol=cfg.tol.steady)
-            rigid &= steady
-            report.outcomes.append((eps, m, tuple(sorted(steady))))
-    report.rigidly_steady = frozenset(rigid)
-    closure = upstream_closure(net, rigid) if rigid else frozenset()
-    report.upstream_closed = closure == frozenset(rigid)
-    report.transitive = len(transitive_components(net).components) == 1
-    report.violation_candidate = report.transitive and bool(rigid)
+            rigid.intersection_update(steady)
+            return out.epsilon, out.member, tuple(sorted(steady))
+
+        report.outcomes = _continue(cfg, orbit, rng, None, measure)
+        report.rigidly_steady = frozenset(rigid)
+        closure = upstream_closure(net, rigid) if rigid else frozenset()
+        report.upstream_closed = closure == frozenset(rigid)
+        report.transitive = len(transitive_components(net).components) == 1
+        report.violation_candidate = report.transitive and bool(rigid)
     return report
 
 

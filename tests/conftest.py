@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from ccnet.admissible import AdmissibleSystem, Perturbation
 from ccnet.library import (case_study_scenarios, control_scenario,
                            hopf_system, mixed_ring_wave_system, ode_pair,
                            ring_wave_system, three_node_ring,
                            two_max_component_net, two_max_component_system,
                            uniform_ring, four_node_control_net)
+from ccnet.network import mk_network
 
 
 @pytest.fixture(scope="session")
@@ -79,3 +81,22 @@ def fig3_steady_system():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture(scope="session")
+def plain_bump():
+    """Factory for the plain plateau bump y -> w psi(|y - z|^2 / delta^2):
+    a Perturbation on a class whose vertex group is trivial (every input
+    arrives by its own arrow type)."""
+    def make(z, delta, w):
+        z = np.asarray(z, dtype=float)
+        w = np.asarray(w, dtype=float)
+        n_in = len(z) - len(w)
+        net = mk_network(["A"] + ["B"] * n_in,
+                         [(f"s{j}", 1, j + 2) for j in range(n_in)])
+        dims = {"A": len(w), **({"B": 1} if n_in else {})}
+        comps = {1: ", ".join(["0"] * len(w)), **({2: "0"} if n_in else {})}
+        sys = AdmissibleSystem(net, dims, comps)
+        pert = Perturbation(class_rep=1, z=z, delta=delta, w=w)
+        return lambda y: pert.component_value(sys, np.asarray(y, dtype=float))
+    return make

@@ -7,15 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from ccnet import library
 from ccnet.admissible import (AdmissibleError, AdmissibleSystem, Perturbation,
-                              PerturbationSpec, PerturbedSystem, bump,
-                              c1_norm_estimate, invariance_residual, layout_for,
+                              PerturbedSystem, c1_norm_estimate,
+                              invariance_residual, layout_for,
                               pack_perturbations, arg_permutations,
-                              random_polydiagonal_point, symmetrise_component,
-                              symmetrised_bump)
+                              random_polydiagonal_point, symmetrise_component)
 from ccnet.colouring import Colouring, enumerate_balanced
 from ccnet.expr import Arity
 from ccnet.library import HOPF, three_node_ring
 from ccnet.network import mk_network, vertex_group
+from ccnet.rigidity import ProbeError, build_proof_perturbation
 
 
 @pytest.fixture(scope="module")
@@ -135,10 +135,30 @@ class TestSymmetrisation:
             assert invariance_residual(sys, 1, perm, x) <= 1e-12
 
 
+def _fan_bump(fan, z, delta):
+    """Perturbation on the fan's S2 input class, as a function of y."""
+    sys = AdmissibleSystem(fan, {"A": 1, "B": 1}, {1: "u[1][1] + u[2][1]", 2: "0"})
+    pert = Perturbation(class_rep=1, z=np.asarray(z, dtype=float), delta=delta,
+                        w=np.array([1.0]))
+    return lambda y: pert.component_value(sys, np.asarray(y, dtype=float))
+
+
+def _proof_setup():
+    """Node 4 conflicts with its representative 1 (input tuples (2, 2) vs
+    (2, 5) in colours); rep 1 shares node 4's input class, whose vertex
+    group swaps the two s-inputs."""
+    net = mk_network(["N"] * 5, [("s", 1, 2), ("s", 1, 3), ("s", 4, 2), ("s", 4, 5),
+                                 ("t", 2, 1), ("t", 3, 1), ("t", 5, 1)])
+    sys = AdmissibleSystem(net, {"N": 1},
+                           {1: "u[1][1] + u[2][1] - x[1]", 2: "u[1][1] - x[1]"})
+    col = Colouring.from_parts(net.node_ids, [(1, 4), (2, 3), (5,)])
+    return sys, col, (1, 2, 5)
+
+
 class TestBump:
-    def test_plateau_and_support(self):
+    def test_plateau_and_support(self, plain_bump):
         w = np.array([2.0, -1.0])
-        f = bump(np.zeros(3), 0.5, w)
+        f = plain_bump(np.zeros(3), 0.5, w)
         assert np.array_equal(f(np.zeros(3)), w)
         assert np.array_equal(f(np.array([0.4, 0.2, 0.1])), w)  # inside delta
         assert np.array_equal(f(np.array([1.5, 0.0, 0.0])), np.zeros(2))  # 3*delta
@@ -146,13 +166,13 @@ class TestBump:
         mid = f(np.array([0.75, 0.0, 0.0]))
         assert 0 < mid[0] < 2.0
 
-    def test_zero_value(self):
-        f = bump(np.zeros(2), 1.0, np.zeros(1))
+    def test_zero_value(self, plain_bump):
+        f = plain_bump(np.zeros(2), 1.0, np.zeros(1))
         assert all(f(np.array([r, 0.0]))[0] == 0.0 for r in (0.0, 0.5, 1.5))
 
-    def test_smoothness_sampled(self):
+    def test_smoothness_sampled(self, plain_bump):
         # finite-difference derivative stays bounded through the bridge
-        f = bump(np.zeros(1), 1.0, np.array([1.0]))
+        f = plain_bump(np.zeros(1), 1.0, np.array([1.0]))
         h = 1e-6
         for r in np.linspace(0.0, 2.5, 60):
             d = (f(np.array([r + h]))[0] - f(np.array([r - h]))[0]) / (2 * h)
@@ -161,44 +181,42 @@ class TestBump:
 
 class TestSymmetrisedBump:
     def test_reduces_to_plain_bump_without_avoid(self, fan):
-        spec = PerturbationSpec(class_rep=1, centre=np.array([0., 1., 2.]),
-                                radius=0.5, value=np.array([1.0]))
-        h = symmetrised_bump(spec, vertex_group(fan, 1), Arity(1, (1, 1)))
+        h = _fan_bump(fan, [0., 1., 2.], 0.5)
         assert h(np.array([0., 1., 2.]))[0] == 1.0
         assert h(np.array([0., 2., 1.]))[0] == 1.0  # group translate
         assert h(np.array([5., 5., 5.]))[0] == 0.0
 
-    def test_orbit_collision_is_an_error(self, fan):
-        z = np.array([0., 1., 2.])
-        spec = PerturbationSpec(class_rep=1, centre=z, radius=0.5,
-                                value=np.array([1.0]),
-                                avoid=(np.array([0., 2., 1.]),))  # in orbit(z)
-        with pytest.raises(AdmissibleError, match="orbit"):
-            symmetrised_bump(spec, vertex_group(fan, 1), Arity(1, (1, 1)))
+    def test_orbit_collision_is_an_error(self, rng):
+        # equal node values put the representative's tuple on the conflict
+        # tuple's orbit: no radius separates them
+        sys, col, reps = _proof_setup()
+        with pytest.raises(ProbeError, match="no valid bump radius"):
+            build_proof_perturbation(sys, col, reps, np.full(5, 0.3), np.inf, rng)
 
-    def test_zero_on_avoid_orbit_grid(self, fan, rng):
-        group = vertex_group(fan, 1)
-        arity = Arity(1, (1, 1))
-        a = np.array([3.0, -1.0, 4.0])
-        spec = PerturbationSpec(class_rep=1, centre=np.array([0., 1., 2.]),
-                                radius=5.0, value=np.array([1.0]), avoid=(a,))
-        h = symmetrised_bump(spec, group, arity)
-        perms = arg_permutations(group, arity)
+    def test_zero_on_avoid_orbit_grid(self, rng):
+        sys, col, reps = _proof_setup()
+        x0 = np.array([0.3, -0.5, -0.5, 0.3, 1.2])
+        pert, pair, case = build_proof_perturbation(sys, col, reps, x0, np.inf, rng)
+        assert pair == (4, 1) and case == "c"
+        z = np.array([0.3, -0.5, 1.2])            # node 4: (x4, x2, x5)
+        a = np.array([0.3, -0.5, -0.5])           # rep 1: (x1, x2, x3)
+        assert np.array_equal(pert.z, z)
+        perms = [np.asarray(p) for p in
+                 arg_permutations(vertex_group(sys.network, 1), sys.arity_of(1))]
         for p in perms:
-            assert h(a[np.asarray(p)])[0] == 0.0
+            assert np.all(pert.component_value(sys, a[p]) == 0.0)
+            # nonzero on every translate of the conflict tuple
+            assert np.any(pert.component_value(sys, z[p]) != 0.0)
         # delta was shrunk below half the orbit separation
-        assert h.delta < 0.5 * min(
-            np.linalg.norm(a[np.asarray(p)] - spec.centre[np.asarray(q)])
-            for p in perms for q in perms)
+        assert pert.delta < 0.5 * min(np.linalg.norm(a[p] - z[q])
+                                      for p in perms for q in perms)
 
-    def test_support_is_union_of_translates(self, fan, rng):
+    def test_support_is_union_of_translates(self, fan, rng, plain_bump):
         group = vertex_group(fan, 1)
         arity = Arity(1, (1, 1))
         z = np.array([0.0, 1.0, -2.0])
-        spec = PerturbationSpec(class_rep=1, centre=z, radius=0.4,
-                                value=np.array([1.0]))
-        h = symmetrised_bump(spec, group, arity)
-        base = bump(z, h.delta, np.array([1.0]))
+        h = _fan_bump(fan, z, 0.4)
+        base = plain_bump(z, 0.4, np.array([1.0]))
         perms = [np.asarray(p) for p in arg_permutations(group, arity)]
         for _ in range(300):
             y = rng.uniform(-3, 3, size=3)
@@ -219,12 +237,12 @@ class TestC1Norm:
                                out_dims=(1, 1, 1), in_dims=(1, 1, 1))
         assert est >= max(np.linalg.norm(L[:, j]) for j in range(3)) - 1e-6
 
-    def test_scales_linearly_in_epsilon(self):
+    def test_scales_linearly_in_epsilon(self, plain_bump):
         w = np.array([1.0])
         pts = np.linspace(-2.5, 2.5, 41)[:, None]
         est = {}
         for eps in (1e-2, 1e-4):
-            f = bump(np.zeros(1), 1.0, w)
+            f = plain_bump(np.zeros(1), 1.0, w)
             est[eps] = c1_norm_estimate(lambda x: eps * f(x), pts,
                                         out_dims=(1,), in_dims=(1,))
         ratio = est[1e-2] / est[1e-4]
@@ -258,10 +276,9 @@ class TestPerturbedSystem:
         x = rng.standard_normal(sys.layout.total_dim)
         lay = sys.layout
         slow = sys.evaluate(x).copy()
-        from ccnet.quotient import component_value
         for c in (2, 4):
             ins = [x[lay.slice_of(t)] for t in control_net.input_tails(c)]
-            slow[lay.slice_of(c)] = component_value(psys, c, x[lay.slice_of(c)], ins)
+            slow[lay.slice_of(c)] = psys.component_value(c, x[lay.slice_of(c)], ins)
         assert np.allclose(psys.evaluate(x), slow, atol=1e-12, rtol=0)
 
 

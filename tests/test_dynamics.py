@@ -38,6 +38,48 @@ class TestIntegrate:
         assert 0 < traj.error_estimate < 1e-8
 
 
+class TestFlowDriver:
+    """flow and flow_record share one RK4 driver."""
+
+    @staticmethod
+    def _fields(scenario):
+        pert = Perturbation(class_rep=1, z=np.array([1.0, 0.0, 1.0, 0.0]),
+                            delta=0.8, w=np.array([1.0, 0.0]))
+        return (scenario.system.flow_args(),
+                PerturbedSystem(scenario.system, [pert], 0.3).flow_args())
+
+    def test_record_rows_are_flow_endpoints(self, scenarios):
+        a = scenarios["A"]
+        h, nsteps, every = 2e-3, 300, 7
+        finals = []
+        for field in self._fields(a):
+            traj = field.flow_record(a.x_guess, h, nsteps, every)
+            assert traj.shape == (nsteps // every + 1, 6)
+            for i, row in enumerate(traj):
+                assert np.array_equal(row, field.flow(a.x_guess, h, i * every))
+            finals.append(field.flow(a.x_guess, h, nsteps))
+        assert not np.array_equal(*finals)  # the bump is active
+
+    def test_diverging_flow_and_record_raise(self, ring):
+        # x' = x passes the 1e8 guard near t = 18; x' = x^3 overflows
+        for comp, match in (("x[1]", "blow-up guard"), ("x[1]^3", None)):
+            field = AdmissibleSystem(ring, {"P": 1, "Q": 1},
+                                     {1: comp, 3: comp}).flow_args()
+            with pytest.raises(FlowDiverged, match=match):
+                field.flow(np.full(3, 2.0), 1e-2, 100000)
+            with pytest.raises(FlowDiverged, match=match):
+                field.flow_record(np.full(3, 2.0), 1e-2, 100000, 10)
+
+    def test_eval_on_empty_pack_is_rhs(self, scenarios, rng):
+        field = scenarios["A"].system.compiled
+        assert field.pack[0].shape == (1,)
+        for _ in range(5):
+            x = rng.standard_normal(6)
+            out = np.empty(6)
+            field.rhs(x, out)
+            assert np.array_equal(field.eval(x), out)
+
+
 class TestOrbitFinding:
     def test_hopf_period(self, hopf):
         orb = find_periodic_orbit(hopf, np.array([1.2, 0.0]), 6.0)

@@ -161,3 +161,13 @@ class TestClassification:
     def test_node_count_guard(self, ring):
         with pytest.raises(NetworkError):
             classify_2node(ring)
+
+    def test_impossible_span_is_a_typed_error(self, monkeypatch):
+        # a lower-triangular, inhomogeneous span of dimension 2 fits no
+        # canonical class; the error must survive python -O
+        from ccnet import odeequiv
+        monkeypatch.setattr(odeequiv, "row_space",
+                            lambda mats: ((1, 0, 0, 0), (0, 0, 1, 0)))
+        with pytest.raises(odeequiv.ClassificationError, match="3-dim"):
+            classify_2node(canonical_two_node(5))
+        assert issubclass(odeequiv.ClassificationError, NetworkError)

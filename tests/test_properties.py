@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccnet.admissible import (AdmissibleSystem, arg_permutations, bump,
+from ccnet.admissible import (AdmissibleSystem, Perturbation, arg_permutations,
                               invariance_residual, polydiagonal_distance,
-                              PerturbationSpec, random_polydiagonal_point,
-                              symmetrised_bump)
+                              random_polydiagonal_point)
 from ccnet.colouring import (Colouring, compare, enumerate_balanced,
                              is_balanced, LatticePosition, refines)
 from ccnet.dynamics import detect_synchrony, integrate
@@ -142,11 +141,11 @@ class TestSemicontinuity:
 
 
 class TestBumpSupport:
-    def test_plain_bump_contract_grid(self, rng):
+    def test_plain_bump_contract_grid(self, rng, plain_bump):
         z = rng.standard_normal(3)
         w = np.array([1.0, -2.0])
         delta = 0.7
-        f = bump(z, delta, w)
+        f = plain_bump(z, delta, w)
         for _ in range(400):
             y = z + rng.uniform(-2.5 * delta, 2.5 * delta, size=3)
             r = np.linalg.norm(y - z)
@@ -162,20 +161,22 @@ class TestBumpSupport:
         net = mk_network(["A", "B", "B"], [("s", 1, 2), ("s", 1, 3)])
         group = vertex_group(net, 1)
         arity = Arity(1, (1, 1))
-        spec = PerturbationSpec(class_rep=1, centre=np.array([0.0, 1.5, -0.5]),
-                                radius=0.4, value=np.array([1.0]))
-        h = symmetrised_bump(spec, group, arity)
+        sys = AdmissibleSystem(net, {"A": 1, "B": 1},
+                               {1: "u[1][1] + u[2][1]", 2: "0"})
+        pert = Perturbation(class_rep=1, z=np.array([0.0, 1.5, -0.5]),
+                            delta=0.4, w=np.array([1.0]))
         perms = [np.asarray(p) for p in arg_permutations(group, arity)]
         for _ in range(400):
             y = rng.uniform(-2.5, 2.5, size=3)
-            in_union = any(np.linalg.norm(y[p] - spec.centre) < 2 * h.delta
+            value = pert.component_value(sys, y)[0]
+            in_union = any(np.linalg.norm(y[p] - pert.z) < 2 * pert.delta
                            for p in perms)
             if not in_union:
-                assert h(y)[0] == 0.0
-            inside = any(np.linalg.norm(y[p] - spec.centre) <= h.delta
+                assert value == 0.0
+            inside = any(np.linalg.norm(y[p] - pert.z) <= pert.delta
                          for p in perms)
             if inside:
-                assert h(y)[0] == 1.0
+                assert value == 1.0
 
 
 class TestPhaseReflection:
