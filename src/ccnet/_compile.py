@@ -1,13 +1,13 @@
 """Fixed-step integration drivers over generated right-hand sides.
 
 The right-hand side of a system is generated as python source and compiled
-twice from the same text: a scalar rhs over one state vector, which the
-RK4 flow driver calls, and a block rhs over an (n, B) array of states, which
-the variational driver calls once per stage to get the state derivative
-and a central-difference Jacobian together.  Additive bump perturbations
-are passed as packed index/coefficient arrays so that a perturbed system
-reuses the base compilation; both drivers skip the bump pass when the pack
-is empty.
+twice from the same text: a scalar rhs, which the RK4 flow driver calls on
+Python lists of floats, and a block rhs over an (n, B) array of states,
+which the variational driver calls once per stage to get the state
+derivative and a central-difference Jacobian together.  Additive bump
+perturbations are passed as packed index/coefficient data, nested lists
+for the bump loops, so that a perturbed system reuses the base
+compilation; both drivers skip the bump pass when the pack is empty.
 """
 
 from __future__ import annotations
@@ -43,74 +43,95 @@ def _apply_bumps(x, out, row_start, gather, arg_len, out_off, out_dim,
     value vector w[b] (scaling already folded in).  Rows are the nodes the
     bump's input class contains; the bump value is the smooth union of the
     group translates of the base plateau, so it is vertex-group invariant,
-    equals 1 within delta of the centre's orbit and 0 beyond 2*delta.
+    equals 1 within delta of the centre's orbit and 0 beyond 2*delta.  The
+    pack is the nested-list twin of the NumPy pack (CompiledField.lpack),
+    so the loops run on Python ints and floats.
     """
-    n_bumps = row_start.shape[0] - 1
-    for b in range(n_bumps):
+    for b in range(len(row_start) - 1):
         L = arg_len[b]
-        k = out_dim[b]
+        zb = z[b]
+        wb = w[b]
+        d2 = inv_d2[b]
+        block_perms = perms[perm_start[b]:perm_start[b + 1]]
         for r in range(row_start[b], row_start[b + 1]):
+            g = gather[r]
             rest = 1.0
-            for p in range(perm_start[b], perm_start[b + 1]):
+            for pp in block_perms:
                 s = 0.0
                 for j in range(L):
-                    d = x[gather[r, perms[p, j]]] - z[b, j]
+                    d = x[g[pp[j]]] - zb[j]
                     s += d * d
-                rest *= 1.0 - _psi(s * inv_d2[b])
+                rest *= 1.0 - _psi(s * d2)
                 if rest == 0.0:
                     break
             val = 1.0 - rest
             if val != 0.0:
                 o = out_off[r]
-                for i in range(k):
-                    out[o + i] += val * w[b, i]
+                for i in range(out_dim[b]):
+                    out[o + i] += val * wb[i]
 
 
-def _guard(x: np.ndarray) -> int:
-    """Status of a state under the blow-up guard."""
-    m = np.max(np.abs(x))
-    if m > _BLOWUP_NORM:
-        return BLOWUP
-    if not math.isfinite(m):
-        return NONFINITE
-    return OK
+def _guard(x) -> int:
+    """Status of a state under the blow-up guard: NONFINITE if any
+    coordinate is NaN, else BLOWUP if any exceeds 1e8 in magnitude (inf
+    included).  A plain max() would skip a NaN that is not first."""
+    m = 0.0
+    for v in x:
+        a = abs(v)
+        if not a <= m:
+            if a != a:
+                return NONFINITE
+            m = a
+    return BLOWUP if m > _BLOWUP_NORM else OK
 
 
 def rk4_flow(rhs, row_start, gather, arg_len, out_off, out_dim, perm_start,
              perms, z, inv_d2, w, x0, h, nsteps, every):
-    """Classical fixed-step RK4 over rhs + bumps.
+    """Classical fixed-step RK4 over rhs + bumps, on Python floats.
 
-    Returns (x_final, traj, status), traj[(nsteps // every) + 1, n] holding
-    the states at steps 0, every, 2*every, ...  The blow-up guard is checked
-    every 64 steps and after the last one.
+    x0 and the pack are lists; the state, the stage inputs and the slopes
+    stay lists of floats, so the generated rhs and the bump loops run on
+    Python floats.  Each stage combination keeps the operation order of
+    the vector form x + (h/6) (k1 + 2 k2 + 2 k3 + k4).  Returns
+    (x_final, traj, status), x_final an array and traj[(nsteps // every)
+    + 1, n] holding the states at steps 0, every, 2*every, ...  The
+    blow-up guard is checked every 64 steps and after the last one; a
+    ZeroDivisionError, OverflowError or math domain error (ValueError) in
+    a stage ends the flow with status NONFINITE.
     """
-    n = x0.shape[0]
-    bumped = row_start.shape[0] > 1
-
-    def field(y):
-        out = np.empty(n)
-        rhs(y, out)
-        if bumped:
+    n = len(x0)
+    if len(row_start) > 1:
+        def field(y, out):
+            rhs(y, out)
             _apply_bumps(y, out, row_start, gather, arg_len, out_off, out_dim,
                          perm_start, perms, z, inv_d2, w)
-        return out
+    else:
+        field = rhs
 
-    x = x0.copy()
+    h = float(h)
+    half = 0.5 * h
+    sixth = h / 6.0
+    x = list(x0)
+    k1, k2, k3, k4 = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
     traj = np.empty((nsteps // every + 1, n))
     traj[0] = x
     for step in range(nsteps):
-        k1 = field(x)
-        k2 = field(x + 0.5 * h * k1)
-        k3 = field(x + 0.5 * h * k2)
-        k4 = field(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        try:
+            field(x, k1)
+            field([a + half * b for a, b in zip(x, k1)], k2)
+            field([a + half * b for a, b in zip(x, k2)], k3)
+            field([a + h * b for a, b in zip(x, k3)], k4)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            return np.array(x), traj, NONFINITE
+        x = [a + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
+             for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
         if (step + 1) % every == 0:
             traj[(step + 1) // every] = x
         if step % 64 == 0 or step == nsteps - 1:
             status = _guard(x)
             if status != OK:
-                return x, traj, status
-    return x, traj, OK
+                return np.array(x), traj, status
+    return np.array(x), traj, OK
 
 
 def rk4_variational(rhs_block, row_start, gather, arg_len, out_off, out_dim,
@@ -122,24 +143,26 @@ def rk4_variational(rhs_block, row_start, gather, arg_len, out_off, out_dim,
     differences of the others are its Jacobian J, and the stage's
     fundamental-matrix slope is J p.  The systematic O(fd^2) bias integrates
     smoothly, so monodromy matrices come out far more accurately than
-    differencing the time-T flow map.  Returns (x, phi, status), checking
-    the blow-up guard every 64 steps as the flow driver does.
+    differencing the time-T flow map.  Bumps are added column by column,
+    on list copies of the block and of its rhs.  Returns (x, phi, status),
+    checking the blow-up guard every 64 steps as the flow driver does.
     """
     n = x0.shape[0]
     x = x0.copy()
     phi = np.eye(n)
     shifts = np.hstack((np.zeros((n, 1)), fd * np.eye(n), -fd * np.eye(n)))
     out = np.empty((n, 2 * n + 1))
-    bumped = row_start.shape[0] > 1
+    bumped = len(row_start) > 1
 
     def stage(y, p):
         block = y.reshape((n, 1)) + shifts
         rhs_block(block, out)
         if bumped:
-            for col in range(2 * n + 1):
-                _apply_bumps(block[:, col], out[:, col], row_start, gather,
-                             arg_len, out_off, out_dim, perm_start, perms, z,
-                             inv_d2, w)
+            cols = out.T.tolist()
+            for y_col, out_col in zip(block.T.tolist(), cols):
+                _apply_bumps(y_col, out_col, row_start, gather, arg_len,
+                             out_off, out_dim, perm_start, perms, z, inv_d2, w)
+            out.T[:] = cols
         jac = (out[:, 1:n + 1] - out[:, n + 1:]) / (2.0 * fd)
         # J p summed over the inner index in order, not by BLAS, so that phi
         # does not depend on the BLAS build's summation order

@@ -101,22 +101,42 @@ class CompiledField:
     """A compiled rhs, its block twin over (n, B) arrays of states, and an
     (optionally empty) perturbation pack.
 
-    The drivers run with NumPy's floating-point warnings off: a diverging
-    trajectory is reported through FlowDiverged instead.
+    pack holds the packed bump arrays; lpack is their nested-list twin,
+    built once here, which the bump loops read.  flow, flow_record and eval
+    run the scalar rhs on Python lists of floats.  A division by zero, an
+    overflow in a power or exp, or a math domain error ends a flow as
+    FlowDiverged, like a trajectory past the blow-up guard; eval re-runs a
+    division by zero or an overflowing power on NumPy scalars and returns
+    their inf or nan.
     """
 
     def __init__(self, rhs, rhs_block, pack, layout: StateLayout):
         self.rhs = rhs
         self.rhs_block = rhs_block
         self.pack = pack
+        self.lpack = tuple(a.tolist() for a in pack)
         self.layout = layout
 
     def eval(self, x: np.ndarray) -> np.ndarray:
+        xl = np.asarray(x, dtype=float).tolist()
+        out = [0.0] * self.layout.total_dim
+        try:
+            self.rhs(xl, out)
+            if len(self.lpack[0]) > 1:
+                _compile._apply_bumps(xl, out, *self.lpack)
+        except (ZeroDivisionError, OverflowError):
+            return self._eval_numpy(x)
+        return np.array(out)
+
+    def _eval_numpy(self, x) -> np.ndarray:
+        """eval on NumPy scalars, where a division by zero or an overflowing
+        power gives inf or nan instead of raising."""
+        x = np.array(x, dtype=float)
         out = np.zeros(self.layout.total_dim)
-        x = np.ascontiguousarray(x, dtype=float)
-        self.rhs(x, out)
-        if self.pack[0].shape[0] > 1:
-            _compile._apply_bumps(x, out, *self.pack)
+        with np.errstate(**_QUIET):
+            self.rhs(x, out)
+            if len(self.lpack[0]) > 1:
+                _compile._apply_bumps(x, out, *self.pack)
         return out
 
     def flow(self, x0: np.ndarray, h: float, nsteps: int) -> np.ndarray:
@@ -127,10 +147,9 @@ class CompiledField:
         return self._rk4(x0, h, nsteps, every)[1]
 
     def _rk4(self, x0, h, nsteps, every):
-        with np.errstate(**_QUIET):
-            x, traj, status = _compile.rk4_flow(
-                self.rhs, *self.pack, np.ascontiguousarray(x0, dtype=float),
-                h, nsteps, every)
+        x, traj, status = _compile.rk4_flow(
+            self.rhs, *self.lpack, np.asarray(x0, dtype=float).tolist(),
+            h, nsteps, every)
         _raise_status(status)
         return x, traj
 
@@ -138,7 +157,7 @@ class CompiledField:
                          fd: float) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(**_QUIET):
             x, phi, status = _compile.rk4_variational(
-                self.rhs_block, *self.pack,
+                self.rhs_block, *self.lpack,
                 np.ascontiguousarray(x0, dtype=float), h, nsteps, fd)
         _raise_status(status)
         return x, phi
@@ -256,10 +275,9 @@ class AdmissibleSystem:
             group = vertex_group(self.network, rep)
             if group.order == 1:
                 continue
-            if group.order > _SYMMETRISE_CAP:
-                elements = group.elements(cap=10 ** 9)[: _SYMMETRISE_CAP]
-            else:
-                elements = group.elements()
+            # groups above the cap are checked on their first 720 elements
+            elements = list(itertools.islice(group.iter_elements(),
+                                             _SYMMETRISE_CAP))
             arity = self.arity_of(rep)
             comp = self.components[rep]
             for _ in range(samples):
@@ -586,15 +604,20 @@ class PerturbedSystem:
         self.layout = base.layout
         self._pack = pack_perturbations(base, self.perturbations, self.epsilon)
 
-    def flow_args(self) -> CompiledField:
+    @cached_property
+    def compiled(self) -> CompiledField:
+        """The base compilation with this system's pack, built once."""
         base = self.base.compiled
         return CompiledField(base.rhs, base.rhs_block, self._pack, self.layout)
 
+    def flow_args(self) -> CompiledField:
+        return self.compiled
+
     def evaluate(self, x: Sequence[float]) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = self.base.evaluate(x)
-        _compile._apply_bumps(np.ascontiguousarray(x, dtype=float), out, *self._pack)
-        return out
+        out = self.base.evaluate(x).tolist()
+        _compile._apply_bumps(x.tolist(), out, *self.compiled.lpack)
+        return np.array(out)
 
     def component_value(self, c: int, self_val: Sequence[float],
                         inputs: Sequence[Sequence[float]]) -> np.ndarray:

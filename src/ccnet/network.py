@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class NetworkError(ValueError):
@@ -203,18 +203,24 @@ class VertexGroup:
         if self.order > cap:
             raise NetworkError(
                 f"vertex group of node {self.node} has order {self.order} > cap {cap}")
-        n = sum(len(pos) for _, pos in self.blocks)
-        perms: list[list[int]] = [[-1] * n]
-        for _, pos in self.blocks:
-            new = []
-            for base in perms:
-                for image in itertools.permutations(pos):
-                    cand = list(base)
-                    for slot, src in zip(pos, image):
-                        cand[slot] = src
-                    new.append(cand)
-            perms = new
-        return [tuple(p) for p in perms]
+        return list(self.iter_elements())
+
+    def iter_elements(self) -> Iterator[tuple[int, ...]]:
+        """The permutations of elements(), in the same order, generated one
+        at a time (the first block varies slowest)."""
+        cand = [-1] * sum(len(pos) for _, pos in self.blocks)
+
+        def extend(k):
+            if k == len(self.blocks):
+                yield tuple(cand)
+                return
+            pos = self.blocks[k][1]
+            for image in itertools.permutations(pos):
+                for slot, src in zip(pos, image):
+                    cand[slot] = src
+                yield from extend(k + 1)
+
+        return extend(0)
 
 
 def vertex_group(net: Network, c: int) -> VertexGroup:

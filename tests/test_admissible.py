@@ -14,7 +14,7 @@ from ccnet.admissible import (AdmissibleError, AdmissibleSystem, Perturbation,
 from ccnet.colouring import Colouring, enumerate_balanced
 from ccnet.expr import Arity
 from ccnet.library import HOPF, three_node_ring
-from ccnet.network import mk_network, vertex_group
+from ccnet.network import VertexGroup, mk_network, vertex_group
 from ccnet.rigidity import ProbeError, build_proof_perturbation
 
 
@@ -88,6 +88,28 @@ class TestStructure:
                              {1: "u[1][1] - 2*u[2][1]", 2: "0"})
         AdmissibleSystem(fan, {"A": 1, "B": 1},
                          {1: "u[1][1] + u[2][1]", 2: "0"})  # fine
+
+    def test_invariance_check_takes_a_lazy_prefix(self, monkeypatch):
+        # S7: the lazy prefix is the first 720 of the full element list
+        net = mk_network(["A"] + ["B"] * 7, [("s", 1, t) for t in range(2, 9)])
+        group = vertex_group(net, 1)
+        assert (list(itertools.islice(group.iter_elements(), 720))
+                == group.elements(cap=10 ** 9)[:720])
+        # S10 (order 3628800): building the system never lists the group
+        original = VertexGroup.elements
+
+        def capped(self, cap=720):
+            if cap > 720:
+                pytest.fail(f"elements(cap={cap}) on a group of order {self.order}")
+            return original(self, cap)
+
+        monkeypatch.setattr(VertexGroup, "elements", capped)
+        net = mk_network(["A"] + ["B"] * 10, [("s", 1, t) for t in range(2, 12)])
+        comp = " + ".join(f"u[{j}][1]" for j in range(1, 11)) + " - x[1]"
+        AdmissibleSystem(net, {"A": 1, "B": 1}, {1: comp, 2: "0.5 - x[1]"})
+        with pytest.raises(AdmissibleError, match="not invariant"):
+            AdmissibleSystem(net, {"A": 1, "B": 1},
+                             {1: comp + " + u[1][1]*u[10][1]^2", 2: "0.5 - x[1]"})
 
     def test_invariance_residual_sampling(self, fan, rng):
         sys = AdmissibleSystem(fan, {"A": 1, "B": 1},
@@ -266,6 +288,16 @@ class TestPerturbedSystem:
         assert out.tolist() == [1.0, 1.0, 0.0]
         far = 10 * np.ones(3)
         assert np.array_equal(psys.evaluate(far), sys.evaluate(far))
+
+    def test_field_is_built_once(self, ring):
+        sys = AdmissibleSystem(ring, {"P": 1, "Q": 1}, {1: "u[1][1]", 3: "-x[1]"})
+        pert = Perturbation(class_rep=1, z=np.zeros(2), delta=1.0,
+                            w=np.array([2.0]))
+        psys = PerturbedSystem(sys, [pert], 0.5)
+        field = psys.flow_args()
+        assert psys.flow_args() is field
+        assert field.rhs is sys.compiled.rhs
+        assert field.lpack == tuple(a.tolist() for a in field.pack)
 
     def test_pack_round_trip_against_component_value(self, control_net, rng):
         sys = AdmissibleSystem(control_net, {"C": 2},

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,10 @@ from ccnet.dynamics import (CollapseToEquilibrium, NoConvergence, Trajectory,
                             detect_synchrony, find_periodic_orbit, floquet,
                             integrate, is_hyperbolic, monodromy_matrix,
                             orbit_from_point, upstream_closure)
-from ccnet.library import (HOPF, hopf_coupled, rotation_system,
-                           three_node_ring, uniform_ring)
+from ccnet.library import (HOPF, case_study_scenarios, control_scenario,
+                           hopf_coupled, hopf_system, mixed_ring_wave_system,
+                           ring_wave_system, rotation_system, three_node_ring,
+                           two_max_component_system, uniform_ring)
 from ccnet.network import mk_network
 
 
@@ -78,6 +82,145 @@ class TestFlowDriver:
             out = np.empty(6)
             field.rhs(x, out)
             assert np.array_equal(field.eval(x), out)
+
+    @pytest.mark.parametrize("comps, x0", [
+        # ZeroDivisionError on Python floats (NumPy gave inf)
+        ({1: "1/x[1]", 3: "1/x[1]"}, [0.0, 0.0, 0.0]),
+        # OverflowError from math.exp
+        ({1: "exp(x[1])", 3: "exp(x[1])"}, [800.0, 800.0, 800.0]),
+        # inf - inf: a NaN in the last coordinate only, the others stay 0
+        ({1: "0", 3: "x[1]^4 - x[1]^4"}, [0.0, 0.0, 1e100]),
+    ], ids=["division-by-zero", "exp-overflow", "nan-in-last-coordinate"])
+    def test_float_arithmetic_divergence_is_typed(self, ring, comps, x0):
+        field = AdmissibleSystem(ring, {"P": 1, "Q": 1}, comps).flow_args()
+        with pytest.raises(FlowDiverged, match="non-finite"):
+            field.flow(np.array(x0), 1e-2, 100)
+        with pytest.raises(FlowDiverged, match="non-finite"):
+            field.flow_record(np.array(x0), 1e-2, 100, 10)
+
+    def test_eval_keeps_numpy_inf_on_division_by_zero(self, ring):
+        field = AdmissibleSystem(ring, {"P": 1, "Q": 1},
+                                 {1: "1/x[1]", 3: "x[1]^-2"}).flow_args()
+        assert field.eval(np.array([0.0, 1.0, 0.0])).tolist() == [np.inf, 1.0, np.inf]
+
+    def test_guard_sees_nan_in_any_coordinate(self):
+        from ccnet import _compile
+        nan, inf = float("nan"), float("inf")
+        assert _compile._guard([0.0, nan, 2e8]) == _compile.NONFINITE
+        assert _compile._guard([inf, 1.0, nan]) == _compile.NONFINITE
+        assert _compile._guard([1.0, -inf]) == _compile.BLOWUP
+        assert _compile._guard([1.0, -2e8]) == _compile.BLOWUP
+        assert _compile._guard([1.0, -1e8]) == _compile.OK
+
+
+def _reference_bumps(x, out, row_start, gather, arg_len, out_off, out_dim,
+                     perm_start, perms, z, inv_d2, w):
+    """The bump loop as it ran on the NumPy pack, for the list version to
+    be compared against."""
+    from ccnet._compile import _psi
+    for b in range(row_start.shape[0] - 1):
+        for r in range(row_start[b], row_start[b + 1]):
+            rest = 1.0
+            for p in range(perm_start[b], perm_start[b + 1]):
+                s = 0.0
+                for j in range(arg_len[b]):
+                    d = x[gather[r, perms[p, j]]] - z[b, j]
+                    s += d * d
+                rest *= 1.0 - _psi(s * inv_d2[b])
+                if rest == 0.0:
+                    break
+            if 1.0 - rest != 0.0:
+                for i in range(out_dim[b]):
+                    out[out_off[r] + i] += (1.0 - rest) * w[b, i]
+
+
+def _reference_flow(field, x0, h, nsteps, every):
+    """The slow reference for the list driver: RK4 with NumPy vector ops,
+    the rhs and the bumps on np.float64 scalars from the NumPy pack."""
+
+    def f(y):
+        out = np.empty(len(y))
+        field.rhs(y, out)
+        _reference_bumps(y, out, *field.pack)
+        return out
+
+    x = np.array(x0, dtype=float)
+    rows = [x]
+    for step in range(nsteps):
+        k1 = f(x)
+        k2 = f(x + 0.5 * h * k1)
+        k3 = f(x + 0.5 * h * k2)
+        k4 = f(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (step + 1) % every == 0:
+            rows.append(x)
+    return x, np.array(rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _library_fields() -> tuple:
+    """(plain system, bumped system, start state) for every library system,
+    a symmetrised S5 fan-in (the gather-loop rhs) and a component with
+    sin/cos/exp/tanh and negative powers.  Each bump is centred on the
+    arguments of its class representative at the start state."""
+    from ccnet.quotient import double, doubled_system
+    wave = ring_wave_system(0.2)[0]
+    fan_in = mk_network(["A"] + ["B"] * 5, [("s", 1, t) for t in range(2, 7)])
+    pair = mk_network(["H", "H"], [("s", 1, 2), ("s", 2, 1)])
+    systems = [hopf_system(), rotation_system(),
+               two_max_component_system(True), two_max_component_system(False),
+               wave, ring_wave_system(0.2, n=5)[0],
+               mixed_ring_wave_system(0.2)[0], control_scenario().system,
+               doubled_system(wave, double(wave.network)),
+               AdmissibleSystem(
+                   fan_in, {"A": 1, "B": 1},
+                   {1: "u[1][1]*u[2][1]^2 - x[1] + u[3][1]*u[4][1]*u[5][1]^5",
+                    2: "0.5 - x[1]"}, symmetrise=True),
+               AdmissibleSystem(pair, {"H": 2}, {1: (
+                   "sin(x[1])*cos(u[1][2]) - tanh(x[2]) "
+                   "+ exp(-x[1]^2)*(2 + u[1][1]^2)^-1, "
+                   "x[1] - 0.1*x[2] + (1.5 + cos(u[1][1]))^-3")})]
+    systems += [s.system for s in case_study_scenarios()]
+    rng = np.random.default_rng(11)
+    out = []
+    for sys in systems:
+        lay, net = sys.layout, sys.network
+        x0 = rng.uniform(-0.8, 0.8, lay.total_dim)
+        rep = sys.class_reps[0]
+        z = np.concatenate([x0[lay.slice_of(rep)]]
+                           + [x0[lay.slice_of(t)] for t in net.input_tails(rep)])
+        pert = Perturbation(class_rep=rep, z=z, delta=0.9,
+                            w=np.ones(lay.dim_of(rep)))
+        out.append((sys, PerturbedSystem(sys, [pert], 0.3), x0))
+    return tuple(out)
+
+
+class TestFlowAgainstNumpyReference:
+    """The list driver, eval and evaluate against the NumPy arithmetic they
+    replace, bit for bit."""
+
+    def test_flow_and_record_equal_reference(self):
+        h, nsteps, every = 1e-2, 40, 7
+        for sys, psys, x0 in _library_fields():
+            finals = []
+            for field in (sys.flow_args(), psys.flow_args()):
+                x_ref, rows_ref = _reference_flow(field, x0, h, nsteps, every)
+                assert np.array_equal(field.flow(x0, h, nsteps), x_ref)
+                assert np.array_equal(field.flow_record(x0, h, nsteps, every),
+                                      rows_ref)
+                finals.append(x_ref)
+            assert not np.array_equal(*finals)  # the bump is active
+
+    def test_eval_and_evaluate_equal_numpy_pack(self, rng):
+        for sys, psys, x0 in _library_fields():
+            field = psys.flow_args()
+            for x in (x0, x0 + 0.05 * rng.standard_normal(len(x0))):
+                ref = np.empty(len(x))
+                field.rhs(x, ref)
+                assert np.array_equal(sys.evaluate(x), ref)
+                _reference_bumps(x, ref, *field.pack)
+                assert np.array_equal(field.eval(x), ref)
+                assert np.array_equal(psys.evaluate(x), ref)
 
 
 class TestOrbitFinding:
