@@ -44,8 +44,9 @@ def _apply_bumps(x, out, row_start, gather, arg_len, out_off, out_dim,
     bump's input class contains; the bump value is the smooth union of the
     group translates of the base plateau, so it is vertex-group invariant,
     equals 1 within delta of the centre's orbit and 0 beyond 2*delta.  The
-    pack is the nested-list twin of the NumPy pack (CompiledField.lpack),
-    so the loops run on Python ints and floats.
+    loops run on either the NumPy pack or its nested-list twin
+    (CompiledField.lpack); the flow drivers pass the twin, so that they
+    run on Python ints and floats.
     """
     for b in range(len(row_start) - 1):
         L = arg_len[b]
@@ -72,17 +73,13 @@ def _apply_bumps(x, out, row_start, gather, arg_len, out_off, out_dim,
 
 
 def _guard(x) -> int:
-    """Status of a state under the blow-up guard: NONFINITE if any
-    coordinate is NaN, else BLOWUP if any exceeds 1e8 in magnitude (inf
-    included).  A plain max() would skip a NaN that is not first."""
-    m = 0.0
-    for v in x:
-        a = abs(v)
-        if not a <= m:
-            if a != a:
-                return NONFINITE
-            m = a
-    return BLOWUP if m > _BLOWUP_NORM else OK
+    """Status of a state under the blow-up guard."""
+    m = np.max(np.abs(x))
+    if m > _BLOWUP_NORM:
+        return BLOWUP
+    if not math.isfinite(m):
+        return NONFINITE
+    return OK
 
 
 def rk4_flow(rhs, row_start, gather, arg_len, out_off, out_dim, perm_start,

@@ -102,12 +102,11 @@ class CompiledField:
     (optionally empty) perturbation pack.
 
     pack holds the packed bump arrays; lpack is their nested-list twin,
-    built once here, which the bump loops read.  flow, flow_record and eval
-    run the scalar rhs on Python lists of floats.  A division by zero, an
-    overflow in a power or exp, or a math domain error ends a flow as
-    FlowDiverged, like a trajectory past the blow-up guard; eval re-runs a
-    division by zero or an overflowing power on NumPy scalars and returns
-    their inf or nan.
+    built once here, which the flow drivers' bump loops read.  flow and
+    flow_record run the scalar rhs on Python lists of floats: a division by
+    zero, an overflow in a power or exp, or a math domain error ends a flow
+    as FlowDiverged, like a trajectory past the blow-up guard.  eval runs
+    the scalar rhs on NumPy scalars, where those give inf or nan.
     """
 
     def __init__(self, rhs, rhs_block, pack, layout: StateLayout):
@@ -118,24 +117,11 @@ class CompiledField:
         self.layout = layout
 
     def eval(self, x: np.ndarray) -> np.ndarray:
-        xl = np.asarray(x, dtype=float).tolist()
-        out = [0.0] * self.layout.total_dim
-        try:
-            self.rhs(xl, out)
-            if len(self.lpack[0]) > 1:
-                _compile._apply_bumps(xl, out, *self.lpack)
-        except (ZeroDivisionError, OverflowError):
-            return self._eval_numpy(x)
-        return np.array(out)
-
-    def _eval_numpy(self, x) -> np.ndarray:
-        """eval on NumPy scalars, where a division by zero or an overflowing
-        power gives inf or nan instead of raising."""
-        x = np.array(x, dtype=float)
         out = np.zeros(self.layout.total_dim)
+        x = np.ascontiguousarray(x, dtype=float)
         with np.errstate(**_QUIET):
             self.rhs(x, out)
-            if len(self.lpack[0]) > 1:
+            if self.pack[0].shape[0] > 1:
                 _compile._apply_bumps(x, out, *self.pack)
         return out
 
