@@ -402,7 +402,7 @@ def _rhs_source(sys: AdmissibleSystem) -> tuple[str, dict]:
                     row.extend(tail_offs[src] + i for i in range(arity.input_dims[src]))
                 gather.append(row)
             gname = f"_G{c}"
-            ns[gname] = np.asarray(gather, dtype=np.int64)
+            ns[gname] = gather
             slot_starts = []
             acc = 0
             for d in arity.input_dims:
@@ -410,7 +410,7 @@ def _rhs_source(sys: AdmissibleSystem) -> tuple[str, dict]:
                 acc += d
 
             def uref(slot, i, slot_starts=slot_starts, gname=gname, c=c):
-                return f"s[{gname}[_p{c}, {slot_starts[slot - 1] + i - 1}]]"
+                return f"s[{gname}[_p{c}][{slot_starts[slot - 1] + i - 1}]]"
             for t in range(k):
                 lines.append(f"    _acc{c}_{t} = 0.0")
             lines.append(f"    for _p{c} in range({len(perms)}):")

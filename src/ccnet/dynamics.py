@@ -9,7 +9,10 @@ rhs per RK4 stage), which keeps the small multipliers accurate enough for
 tight Floquet checks; differencing the time-T flow map directly is
 available as a fallback.  An orbit's monodromy and multipliers are lazy:
 the variational pass runs on their first read, so orbits whose Floquet
-data nobody reads (continuation members, say) never pay for it.
+data nobody reads (continuation members, say) never pay for it.  An
+orbit is the trigonometric interpolant of its RK4 grid (Trefethen,
+Spectral Methods in MATLAB, ch. 3), held as ORBIT_SAMPLES uniform samples
+and read between them by rotating their Fourier modes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .colouring import Colouring
 from .network import Network, transitive_components
@@ -100,7 +102,8 @@ def trajectory_to_csv(traj: Trajectory, path: str):
 @dataclass
 class PeriodicOrbit:
     """A located orbit.  monodromy and multipliers are integrated from
-    system on first read and cached."""
+    system on first read and cached.  samples lie on the trigonometric
+    interpolant of the RK4 grid, which shifted() reads between them."""
 
     anchor: np.ndarray
     period: float
@@ -126,13 +129,18 @@ class PeriodicOrbit:
     def trivial_multiplier(self) -> complex:
         return complex(self.multipliers[0])
 
-    def spline(self) -> CubicSpline:
-        t = np.append(self.times, self.period)
-        x = np.vstack([self.samples, self.samples[:1]])
-        return CubicSpline(t, x, bc_type="periodic")
+    @cached_property
+    def _modes(self) -> np.ndarray:
+        return np.fft.rfft(self.samples, axis=0)
 
-    def at(self, t: float | np.ndarray) -> np.ndarray:
-        return self.spline()(np.mod(t, self.period))
+    def shifted(self, theta: float, cols: slice = slice(None)) -> np.ndarray:
+        """Columns cols of the orbit at times + theta*period: mode k of the
+        samples rotated by exp(2 pi i k theta).  irfft keeps the Nyquist
+        mode's real part, i.e. splits it evenly between +-m/2."""
+        m = self.samples.shape[0]
+        turns = theta * np.arange(m // 2 + 1) % 1.0  # exact for whole-sample shifts
+        rot = np.exp(2j * np.pi * turns)
+        return np.fft.irfft(self._modes[:, cols] * rot[:, None], n=m, axis=0)
 
 
 def monodromy_matrix(sys, anchor: np.ndarray, T: float, h: float = 1e-3,
@@ -161,7 +169,8 @@ def monodromy_matrix(sys, anchor: np.ndarray, T: float, h: float = 1e-3,
 
 def _sorted_eigvals(phi: np.ndarray) -> np.ndarray:
     mus = np.linalg.eigvals(phi)
-    return mus[np.argsort(np.abs(mus - 1.0))]
+    # stable: a conjugate pair tied in |mu - 1| keeps LAPACK's +imag first
+    return mus[np.argsort(np.abs(mus - 1.0), kind="stable")]
 
 
 def floquet(sys, orbit: PeriodicOrbit, h: float | None = None,
@@ -177,21 +186,24 @@ def floquet(sys, orbit: PeriodicOrbit, h: float | None = None,
     return _sorted_eigvals(phi)
 
 
-def _resample(sys, anchor: np.ndarray, T: float, h: float,
-              n: int = ORBIT_SAMPLES) -> tuple[np.ndarray, np.ndarray]:
-    f = sys.flow_args()
-    nsteps, h_eff = _steps_for(T, h)
-    raw = f.flow_record(anchor, h_eff, nsteps, 1)
-    t_raw = np.arange(raw.shape[0]) * h_eff
-    raw[-1] = raw[0]  # close the loop for the periodic spline
-    spline = CubicSpline(t_raw, raw, bc_type="periodic")
-    times = np.arange(n) * (T / n)
-    return times, spline(times)
+def _trig_resample(x: np.ndarray, n: int) -> np.ndarray:
+    """The trigonometric interpolant of m uniform periodic samples x (rows)
+    at n uniform times, as PeriodicOrbit.shifted reads it: modes fold
+    modulo n (exact for n < m); the real part splits an even m's Nyquist
+    mode evenly between +-m/2."""
+    m = x.shape[0]
+    k = np.fft.fftfreq(m, 1.0 / m).astype(int)
+    folded = np.zeros((n,) + x.shape[1:], dtype=complex)
+    np.add.at(folded, k % n, np.fft.fft(x, axis=0))
+    return np.fft.ifft(folded, axis=0).real * (n / m)
 
 
 def _build_orbit(sys, anchor: np.ndarray, T: float, h: float, residual: float,
                  section_point: np.ndarray, section_normal: np.ndarray) -> PeriodicOrbit:
-    times, samples = _resample(sys, anchor, T, h)
+    nsteps, h_eff = _steps_for(T, h)
+    grid = sys.flow_args().flow_record(anchor, h_eff, nsteps, 1)[:-1]
+    times = np.arange(ORBIT_SAMPLES) * (T / ORBIT_SAMPLES)
+    samples = _trig_resample(grid, ORBIT_SAMPLES)
     return PeriodicOrbit(anchor=np.array(anchor, dtype=float), period=float(T),
                          section_point=np.asarray(section_point, dtype=float),
                          section_normal=np.asarray(section_normal, dtype=float),
@@ -496,8 +508,9 @@ def detect_phase(sys, orbit: PeriodicOrbit, tol: float = 1e-6,
 
     Scans PHASE_GRID uniform shifts of the resampled period per ordered
     pair of state-equivalent nodes, then refines candidate minima by
-    golden-section on the cubic interpolant.  Steady nodes are related by
-    every shift, reported with the full-circle flag.
+    golden-section on the orbit's trigonometric interpolant, reading node
+    d's columns only.  Steady nodes are related by every shift, reported
+    with the full-circle flag.
     """
     lay = sys.layout
     net = sys.network
@@ -505,8 +518,6 @@ def detect_phase(sys, orbit: PeriodicOrbit, tol: float = 1e-6,
     stride = max(1, orbit.samples.shape[0] // PHASE_GRID)
     Xg = orbit.samples[::stride]
     grid = Xg.shape[0]
-    spline = orbit.spline()
-    t_grid = orbit.times[::stride]
 
     blocks = {c: Xg[:, lay.slice_of(c)] for c in lay.node_ids}
     amp = {c: float(np.max(np.linalg.norm(b - b.mean(axis=0), axis=1)))
@@ -537,7 +548,7 @@ def detect_phase(sys, orbit: PeriodicOrbit, tol: float = 1e-6,
                 coarse = max(accept, scale * 16.0 / grid)
 
                 def resid(theta):
-                    shifted = spline(np.mod(t_grid + theta * T, T))[:, lay.slice_of(d)]
+                    shifted = orbit.shifted(theta, lay.slice_of(d))[::stride]
                     return float(np.max(np.linalg.norm(bc - shifted, axis=1)))
 
                 found: list[tuple[float, float]] = []

@@ -236,7 +236,6 @@ def doubled_system(sys: AdmissibleSystem, dbl: DoubledNetwork) -> AdmissibleSyst
 
 def shear(orbit, theta: float) -> np.ndarray:
     """Sheared doubled samples (x(t), x(t + theta*T)) over the orbit's
-    uniform period grid, the shifted copy read off the orbit's cubic
-    interpolant so that theta need not sit on the grid."""
-    shifted = orbit.at(orbit.times + (theta % 1.0) * orbit.period)
-    return np.hstack([orbit.samples, shifted])
+    uniform period grid, the shifted copy read off the orbit's
+    trigonometric interpolant so that theta need not sit on the grid."""
+    return np.hstack([orbit.samples, orbit.shifted(theta)])

@@ -42,6 +42,9 @@ class ProbeError(RuntimeError):
     pass
 
 
+T0_TIE = 1e-6  # separations this close to the largest tie (rotating waves)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     sync: float = 1e-8
@@ -312,10 +315,10 @@ def _pattern_gap(sys, samples: np.ndarray, before: Colouring,
 def _select_t0(report: ProbeReport, sys, orbit: PeriodicOrbit,
                states: np.ndarray, col: Colouring,
                tol_sync: float) -> tuple[np.ndarray, float]:
-    """Pick the sample time maximising the minimum pairwise distance between
-    representative node values (infinity when there is a single colour),
-    record it on the report, and return the state there projected onto the
-    polydiagonal of col, with the separation."""
+    """Pick the earliest sample time maximising, up to T0_TIE, the least
+    distance between representative node values (infinity for one colour),
+    record it on the report, and return the state there projected onto
+    the polydiagonal of col, with the separation."""
     lay = sys.layout
     reps = col.representatives()
     pairs = [(r, s) for i, r in enumerate(reps) for s in reps[i + 1:]
@@ -325,7 +328,7 @@ def _select_t0(report: ProbeReport, sys, orbit: PeriodicOrbit,
         d = np.linalg.norm(orbit.samples[:, lay.slice_of(r)]
                            - orbit.samples[:, lay.slice_of(s)], axis=1)
         sep = np.minimum(sep, d)
-    i0 = int(np.argmax(sep)) if pairs else 0
+    i0 = int(np.argmax(sep >= (1.0 - T0_TIE) * np.max(sep))) if pairs else 0
     report.t0 = float(orbit.times[i0])
     report.separation = float(sep[i0])
     amp = max(1.0, float(np.max(np.abs(states))))
@@ -489,7 +492,8 @@ def rigidity_probe(cfg: ProbeConfig) -> ProbeReport:
         def measure(out, psys, orb):
             if orb is not None:
                 _redetect(out, psys, orb.samples, col0, cfg.tol.sync)
-                res = _constraint_residual(psys, col0, R, orb.at(report.t0)[None, :])
+                x_t0 = orb.shifted(report.t0 / orb.period)[:1]
+                res = _constraint_residual(psys, col0, R, x_t0)
                 out.constraint_residual = max((float(v[0]) for v in res.values()),
                                               default=0.0)
             return out

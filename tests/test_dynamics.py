@@ -1,12 +1,16 @@
 import functools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from ccnet.admissible import (AdmissibleSystem, CompiledField, FlowDiverged,
                               Perturbation, PerturbedSystem)
-from ccnet.dynamics import (CollapseToEquilibrium, NoConvergence, Trajectory,
-                            detect_phase, detect_steady_nodes,
+from ccnet.dynamics import (ORBIT_SAMPLES, CollapseToEquilibrium, NoConvergence,
+                            PeriodicOrbit, Trajectory, _sorted_eigvals,
+                            _trig_resample, detect_phase, detect_steady_nodes,
                             detect_synchrony, find_periodic_orbit, floquet,
                             integrate, is_hyperbolic, monodromy_matrix,
                             orbit_from_point, upstream_closure)
@@ -281,6 +285,19 @@ class TestFloquet:
         assert near_one == 2
 
 
+    def test_tied_conjugate_pair_lists_positive_imag_first(self):
+        # eight rotation blocks, each a conjugate pair exactly tied in |mu - 1|
+        rng = np.random.default_rng(8)
+        phi = np.eye(17)
+        for b in range(8):
+            a, w = rng.uniform(-0.9, 0.9), rng.uniform(0.1, 0.5)
+            phi[2 * b:2 * b + 2, 2 * b:2 * b + 2] = [[a, -w], [w, a]]
+        mus = _sorted_eigvals(phi)
+        assert mus[0] == 1.0
+        for k in range(1, 17, 2):
+            assert mus[k] == np.conj(mus[k + 1]) and mus[k].imag > 0
+
+
 class TestLazyMultipliers:
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -483,6 +500,119 @@ class TestPhaseDetection:
         assert pat.shifts(2, 3).full_circle
         assert not pat.shifts(1, 1).full_circle
         assert not pat.shifts(1, 2).full_circle and not pat.shifts(1, 2).shifts
+
+
+def _trig_sum(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The trigonometric interpolant of the uniform periodic samples x
+    (rows) at times t in units of the period, summed mode by mode; an even
+    count's Nyquist mode is split evenly between +-m/2."""
+    m = x.shape[0]
+    c = np.fft.fft(x, axis=0) / m
+    out = np.zeros((len(t), x.shape[1]))
+    for j, k in enumerate(np.fft.fftfreq(m, 1.0 / m)):
+        wave = np.exp(2j * np.pi * k * t)[:, None]
+        if 2 * abs(k) == m:
+            wave = wave.real
+        out += (c[j] * wave).real
+    return out
+
+
+def _orbit_of(samples: np.ndarray, period: float = 2.0) -> PeriodicOrbit:
+    m = samples.shape[0]
+    return PeriodicOrbit(anchor=samples[0], period=period,
+                         section_point=samples[0], section_normal=samples[1],
+                         times=np.arange(m) * (period / m), samples=samples,
+                         residual=0.0, step=period / m, system=None)
+
+
+class TestTrigInterpolant:
+    """The one orbit representation: _trig_resample builds the samples,
+    PeriodicOrbit.shifted reads between them."""
+
+    @pytest.mark.parametrize("m, n", [(341, 1023), (512, ORBIT_SAMPLES),
+                                      (3069, 1023), (2048, ORBIT_SAMPLES)])
+    def test_grid_nodes_reproduced(self, m, n):
+        # odd and even m, below and above the target count; every node of
+        # the coarser grid is a node of the finer one
+        x = np.random.default_rng(m).standard_normal((m, 3))
+        y = _trig_resample(x, n)
+        if n > m:
+            assert np.max(np.abs(y[::n // m] - x)) < 1e-13
+        else:
+            assert np.max(np.abs(y - x[::m // n])) < 1e-13
+
+    @pytest.mark.parametrize("m", [341, 512, 1537, 2048])
+    def test_resample_equals_trig_sum(self, m):
+        x = np.random.default_rng(m).standard_normal((m, 2))
+        y = _trig_resample(x, ORBIT_SAMPLES)
+        ref = _trig_sum(x, np.arange(ORBIT_SAMPLES) / ORBIT_SAMPLES)
+        assert np.max(np.abs(y - ref)) < 1e-11
+
+    @pytest.mark.parametrize("m", [341, 512])
+    def test_shift_reads_back_the_grid(self, m):
+        x = np.random.default_rng(m).standard_normal((m, 2))
+        orb = _orbit_of(_trig_resample(x, ORBIT_SAMPLES))
+        for j in (1, 7, m // 2, m - 1):
+            assert np.max(np.abs(orb.shifted(j / m)[0] - x[j])) < 1e-13
+
+    def test_whole_sample_shift_is_roll(self):
+        samples = np.random.default_rng(3).standard_normal((ORBIT_SAMPLES, 4))
+        orb = _orbit_of(samples)
+        for j in (1, 3, 512, 1000):
+            rolled = np.roll(samples, -j, axis=0)
+            assert np.max(np.abs(orb.shifted(j / ORBIT_SAMPLES) - rolled)) < 1e-14
+            assert np.max(np.abs(orb.shifted(j / ORBIT_SAMPLES, slice(1, 3))
+                                 - rolled[:, 1:3])) < 1e-14
+
+    @pytest.mark.parametrize("theta", [0.123456, 0.5 + 1e-7, 0.77, -0.3, 1.4])
+    def test_shift_equals_trig_sum(self, theta):
+        samples = np.random.default_rng(4).standard_normal((ORBIT_SAMPLES, 4))
+        orb = _orbit_of(samples)
+        t = np.arange(ORBIT_SAMPLES) / ORBIT_SAMPLES + theta
+        ref = _trig_sum(samples, t)
+        assert np.max(np.abs(orb.shifted(theta) - ref)) < 1e-11
+        assert np.max(np.abs(orb.shifted(theta, slice(2, 4)) - ref[:, 2:4])) < 1e-11
+
+    def test_wave_phase_residuals_at_coarse_step(self, wave):
+        # an exact interpolant leaves rounding only (cubic splines: 5.7e-10)
+        sys, guess, T = wave
+        orb = find_periodic_orbit(sys, guess, T, h=2e-2)
+        pat = detect_phase(sys, orb)
+        for c in (1, 2, 3):
+            shifts = pat.shifts(c, c % 3 + 1).shifts
+            assert len(shifts) == 1 and abs(shifts[0][0] - 1 / 3) < 1e-9
+        residuals = [r for pair in pat.pairs.values() for _, r in pair.shifts]
+        assert len(residuals) == 9 and max(residuals) < 1e-11
+
+    def test_agrees_with_two_spline_pipeline(self, wave):
+        # the cubic-spline representation this replaces, to its own error:
+        # 1e-9 at h = 2e-2
+        interpolate = pytest.importorskip("scipy.interpolate")
+        sys, guess, T = wave
+        orb = find_periodic_orbit(sys, guess, T, h=2e-2)
+        nsteps = int(np.ceil(orb.period / 2e-2))
+        raw = sys.flow_args().flow_record(orb.anchor, orb.period / nsteps, nsteps, 1)
+        raw[-1] = raw[0]
+        first = interpolate.CubicSpline(np.arange(nsteps + 1) * (orb.period / nsteps),
+                                        raw, bc_type="periodic")
+        samples = first(orb.times)
+        assert np.max(np.abs(orb.samples - samples)) < 1e-9
+        second = interpolate.CubicSpline(np.append(orb.times, orb.period),
+                                         np.vstack([samples, samples[:1]]),
+                                         bc_type="periodic")
+        theta = 1 / 3 + 1e-4
+        spline_read = second(np.mod(orb.times + theta * orb.period, orb.period))
+        assert np.max(np.abs(orb.shifted(theta) - spline_read)) < 1e-9
+
+    def test_package_imports_without_scipy(self):
+        import ccnet
+        src = os.path.dirname(os.path.dirname(ccnet.__file__))
+        code = ("import sys, ccnet, ccnet.library; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSteadyAndUpstream:

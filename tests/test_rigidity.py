@@ -1,13 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from ccnet.colouring import Colouring, is_balanced
-from ccnet.dynamics import detect_phase, find_periodic_orbit
+from ccnet.dynamics import detect_phase, detect_synchrony, find_periodic_orbit
 from ccnet.library import (control_scenario, three_node_ring,
                            two_max_component_system, uniform_ring)
-from ccnet.rigidity import (ProbeConfig, ProbeError, Tolerances, case_study_3ring,
-                            control_probe, find_conflict, full_oscillation_probe,
-                            hk_report, phase_probe, rigidity_probe)
+from ccnet.rigidity import (ProbeConfig, ProbeError, Tolerances, _select_t0,
+                            case_study_3ring, control_probe, find_conflict,
+                            full_oscillation_probe, hk_report, phase_probe,
+                            rigidity_probe)
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +50,35 @@ class TestConflictSelection:
         col = Colouring.from_parts([1, 2, 3], [(1, 3), (2,)])
         hit = find_conflict(net, col, (1, 2))
         assert hit is not None and hit[2] in ("a", "b")
+
+
+class TestSelectT0:
+    """t0 maximises the representative separation; on rotating waves that
+    separation is constant up to rounding, and the earliest sample wins."""
+
+    @staticmethod
+    def _t0s(scenario):
+        sys = scenario.system
+        orb = find_periodic_orbit(sys, scenario.x_guess, scenario.T_guess, h=2e-3)
+        col = detect_synchrony(sys, orb.samples)
+        rng = np.random.default_rng(1)
+        out = []
+        for noise in (0.0, 1e-9, 1e-9):
+            orb.samples = orb.samples + noise * rng.standard_normal(orb.samples.shape)
+            report = SimpleNamespace()
+            _select_t0(report, sys, orb, orb.samples, col, 1e-8)
+            out.append(report.t0)
+        return out
+
+    @pytest.mark.parametrize("name", ["C", "control"])
+    def test_constant_separation_picks_time_zero(self, name, scenarios, control):
+        scenario = control if name == "control" else scenarios[name]
+        assert self._t0s(scenario) == [0.0, 0.0, 0.0]
+
+    def test_unique_maximum_kept(self, scenarios):
+        t0s = self._t0s(scenarios["B"])
+        assert t0s[0] == pytest.approx(3.92699, abs=1e-5)
+        assert t0s == [t0s[0]] * 3
 
 
 class TestCaseStudies:
