@@ -502,15 +502,34 @@ class PhasePattern:
         return self.pairs[(c, d)]
 
 
+def _spectrum(block: np.ndarray):
+    """Column means, rFFT of the centred rows and their sum of squares."""
+    mean = block.mean(axis=0)
+    centred = block - mean
+    return mean, np.fft.rfft(centred, axis=0), float(np.sum(centred * centred))
+
+
+def _shift_mean_squares(spec_c, spec_d, grid: int):
+    """Mean of |bc[t] - bd[t + s]|^2 over the rows t at every cyclic shift
+    s, by the correlation theorem on centred blocks (so no offset cancels),
+    and a margin that bounds its rounding."""
+    (mc, fc, qc), (md, fd, qd) = spec_c, spec_d
+    total = float(np.sum((mc - md) ** 2)) + (qc + qd) / grid
+    cross = np.fft.irfft(np.sum(np.conj(fc) * fd, axis=1), n=grid)
+    return total - 2.0 * cross / grid, 1e-12 * total
+
+
 def detect_phase(sys, orbit: PeriodicOrbit, tol: float = 1e-6,
                  steady_tol: float = 1e-8) -> PhasePattern:
     """Detected phase shifts theta with x_c(t) = x_d(t + theta*T).
 
-    Scans PHASE_GRID uniform shifts of the resampled period per ordered
-    pair of state-equivalent nodes, then refines candidate minima by
-    golden-section on the orbit's trigonometric interpolant, reading node
-    d's columns only.  Steady nodes are related by every shift, reported
-    with the full-circle flag.
+    Per ordered pair of state-equivalent nodes, candidates are the local
+    minima of the sup distance D[s] <= coarse over PHASE_GRID uniform
+    shifts.  One FFT cross-correlation bounds D at every shift (RMS <=
+    sup); D[s] is computed exactly only where the bound allows a
+    candidate.  Candidates are refined by golden-section on the orbit's
+    trigonometric interpolant, reading node d's columns only.  Steady
+    nodes are related by every shift, reported with the full-circle flag.
     """
     lay = sys.layout
     net = sys.network
@@ -523,6 +542,7 @@ def detect_phase(sys, orbit: PeriodicOrbit, tol: float = 1e-6,
     amp = {c: float(np.max(np.linalg.norm(b - b.mean(axis=0), axis=1)))
            for c, b in blocks.items()}
     steady = {c for c in lay.node_ids if amp[c] < steady_tol}
+    spectra = {c: _spectrum(b) for c, b in blocks.items()}
 
     pairs: dict[tuple[int, int], PairShifts] = {}
     for cls in net.state_partition:
@@ -540,12 +560,17 @@ def detect_phase(sys, orbit: PeriodicOrbit, tol: float = 1e-6,
                     pairs[(c, d)] = PairShifts(full_circle=False, shifts=())
                     continue
                 scale = max(amp[c], amp[d])
-                D = np.empty(grid)
                 bc, bd = blocks[c], blocks[d]
-                for s in range(grid):
-                    D[s] = np.max(np.linalg.norm(bc - np.roll(bd, -s, axis=0), axis=1))
                 accept = tol * scale
                 coarse = max(accept, scale * 16.0 / grid)
+                # RMS <= sup, so ms[s] > coarse^2 + margin gives D[s] > coarse:
+                # no candidate, and D[s] = inf decides a neighbour's local-
+                # minimum test as the true D[s] > coarse >= D[neighbour] would.
+                # The margin is over 100x the FFT's eps * log2(grid) rounding.
+                ms, margin = _shift_mean_squares(spectra[c], spectra[d], grid)
+                D = np.full(grid, np.inf)
+                for s in np.flatnonzero(ms <= coarse * coarse + margin):
+                    D[s] = np.max(np.linalg.norm(bc - np.roll(bd, -s, axis=0), axis=1))
 
                 def resid(theta):
                     shifted = orbit.shifted(theta, lay.slice_of(d))[::stride]
@@ -566,7 +591,7 @@ def detect_phase(sys, orbit: PeriodicOrbit, tol: float = 1e-6,
                             else:
                                 a = m1
                         theta = 0.5 * (a + b) % 1.0
-                        if 1.0 - theta < 0.5 / grid:
+                        if min(theta, 1.0 - theta) < 0.5 / grid:
                             theta = 0.0
                         r = resid(theta)
                         if r < accept:

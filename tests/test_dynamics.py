@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import os
 import subprocess
@@ -8,12 +9,12 @@ import pytest
 
 from ccnet.admissible import (AdmissibleSystem, CompiledField, FlowDiverged,
                               Perturbation, PerturbedSystem)
-from ccnet.dynamics import (ORBIT_SAMPLES, CollapseToEquilibrium, NoConvergence,
-                            PeriodicOrbit, Trajectory, _sorted_eigvals,
-                            _trig_resample, detect_phase, detect_steady_nodes,
-                            detect_synchrony, find_periodic_orbit, floquet,
-                            integrate, is_hyperbolic, monodromy_matrix,
-                            orbit_from_point, upstream_closure)
+from ccnet.dynamics import (ORBIT_SAMPLES, PHASE_GRID, CollapseToEquilibrium,
+                            NoConvergence, PairShifts, PeriodicOrbit, PhasePattern,
+                            Trajectory, _sorted_eigvals, _trig_resample,
+                            detect_phase, detect_steady_nodes, detect_synchrony,
+                            find_periodic_orbit, floquet, integrate, is_hyperbolic,
+                            monodromy_matrix, orbit_from_point, upstream_closure)
 from ccnet.library import (HOPF, case_study_scenarios, control_scenario,
                            hopf_coupled, hopf_system, mixed_ring_wave_system,
                            ring_wave_system, rotation_system, three_node_ring,
@@ -500,6 +501,162 @@ class TestPhaseDetection:
         assert pat.shifts(2, 3).full_circle
         assert not pat.shifts(1, 1).full_circle
         assert not pat.shifts(1, 2).full_circle and not pat.shifts(1, 2).shifts
+
+
+def _brute_force_phase(sys, orbit, tol=1e-6, steady_tol=1e-8) -> PhasePattern:
+    """detect_phase with the exact sup distance at every one of the
+    PHASE_GRID shifts: the scan the FFT bound prunes, kept as its oracle."""
+    lay = sys.layout
+    stride = max(1, orbit.samples.shape[0] // PHASE_GRID)
+    Xg = orbit.samples[::stride]
+    grid = Xg.shape[0]
+    blocks = {c: Xg[:, lay.slice_of(c)] for c in lay.node_ids}
+    amp = {c: float(np.max(np.linalg.norm(b - b.mean(axis=0), axis=1)))
+           for c, b in blocks.items()}
+    steady = {c for c in lay.node_ids if amp[c] < steady_tol}
+    pairs = {}
+    for cls in sys.network.state_partition:
+        for c in cls:
+            for d in cls:
+                if lay.dim_of(c) != lay.dim_of(d):
+                    continue
+                if c in steady and d in steady:
+                    same = float(np.linalg.norm(
+                        blocks[c].mean(axis=0) - blocks[d].mean(axis=0)))
+                    pairs[(c, d)] = PairShifts(full_circle=same < max(tol, steady_tol),
+                                               shifts=())
+                    continue
+                if (c in steady) != (d in steady):
+                    pairs[(c, d)] = PairShifts(full_circle=False, shifts=())
+                    continue
+                scale = max(amp[c], amp[d])
+                D = np.empty(grid)
+                bc, bd = blocks[c], blocks[d]
+                for s in range(grid):
+                    D[s] = np.max(np.linalg.norm(bc - np.roll(bd, -s, axis=0), axis=1))
+                accept = tol * scale
+                coarse = max(accept, scale * 16.0 / grid)
+
+                def resid(theta, d=d, bc=bc):
+                    shifted = orbit.shifted(theta, lay.slice_of(d))[::stride]
+                    return float(np.max(np.linalg.norm(bc - shifted, axis=1)))
+
+                found = []
+                for s in range(grid):
+                    if D[s] > coarse:
+                        continue
+                    if D[s] <= D[(s - 1) % grid] and D[s] <= D[(s + 1) % grid]:
+                        a, b = (s - 1) / grid, (s + 1) / grid
+                        for _ in range(48):
+                            m1 = a + 0.382 * (b - a)
+                            m2 = a + 0.618 * (b - a)
+                            if resid(m1) <= resid(m2):
+                                b = m2
+                            else:
+                                a = m1
+                        theta = 0.5 * (a + b) % 1.0
+                        if min(theta, 1.0 - theta) < 0.5 / grid:
+                            theta = 0.0
+                        r = resid(theta)
+                        if r < accept:
+                            if not any(min(abs(t0 - theta), 1 - abs(t0 - theta))
+                                       < 1.0 / grid for t0, _ in found):
+                                found.append((theta, r))
+                pairs[(c, d)] = PairShifts(full_circle=False,
+                                           shifts=tuple(sorted(found)))
+    return PhasePattern(period=orbit.period, pairs=pairs)
+
+
+@functools.lru_cache(maxsize=None)
+def _coarse_orbits() -> dict:
+    """The orbit-floquet benchmark's systems at its step h = 2e-2, located
+    from their exact guesses: name -> (system, orbit)."""
+    ctrl = control_scenario(0.1)
+    cases = {f"ring{n}": ring_wave_system(0.2, n) for n in (3, 4, 5)}
+    cases["control"] = (ctrl.system, ctrl.x_guess, 2 * np.pi)
+    cases["hopf"] = (hopf_system(), np.array([1.0, 0.0]), 2 * np.pi)
+    return {name: (sys_, find_periodic_orbit(sys_, guess, T, h=2e-2))
+            for name, (sys_, guess, T) in cases.items()}
+
+
+def _with_samples(orbit: PeriodicOrbit, samples: np.ndarray) -> PeriodicOrbit:
+    m = samples.shape[0]
+    return dataclasses.replace(orbit, samples=samples,
+                               times=np.arange(m) * (orbit.period / m))
+
+
+class TestPhaseScanAgainstBruteForce:
+    """The FFT-bounded scan gives the whole-grid scan's patterns, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["ring3", "ring4", "ring5", "control"])
+    def test_coarse_orbits(self, name):
+        sys_, orb = _coarse_orbits()[name]
+        assert detect_phase(sys_, orb) == _brute_force_phase(sys_, orb)
+
+    def test_steady_nodes(self, scenarios):
+        s = scenarios["D"]
+        orb = find_periodic_orbit(s.system, s.x_guess, s.T_guess, h=2e-2)
+        pat = detect_phase(s.system, orb)
+        assert pat.shifts(2, 3).full_circle
+        assert pat == _brute_force_phase(s.system, orb)
+
+    @staticmethod
+    def _altered_waves(orb) -> dict:
+        """The 3-ring wave's orbit, altered: name -> (orbit, tol)."""
+        node1 = orb.samples[:, :2]
+        amp = float(np.max(np.linalg.norm(node1 - node1.mean(axis=0), axis=1)))
+        noisy = orb.samples + 1e-3 * np.random.default_rng(5).standard_normal(orb.samples.shape)
+        # node 2 displaced by 3% of the amplitude: the wave shift's sup
+        # distance lies between coarse / 2 and coarse = tol * amp
+        displaced = orb.samples.copy()
+        displaced[:, 2] += 0.03 * amp
+        # a 20th harmonic on every node: grid neighbours of the wave shift
+        # are pruned, so its local-minimum test reads their +inf
+        t = np.arange(ORBIT_SAMPLES) / ORBIT_SAMPLES
+        sharp = np.hstack([np.stack([np.cos(2 * np.pi * u) + 0.3 * np.cos(40 * np.pi * u),
+                                     np.sin(2 * np.pi * u) + 0.3 * np.sin(40 * np.pi * u)],
+                                    axis=1) for u in (t, t - 1 / 3, t - 2 / 3)])
+        return {"offset": (_with_samples(orb, orb.samples + 1e4), 1e-6),
+                "noise": (_with_samples(orb, noisy), 1e-6),
+                "noise-loose-tol": (_with_samples(orb, noisy), 1e-2),
+                "odd-grid": (_with_samples(orb, _trig_resample(orb.samples, 341)), 1e-6),
+                "near-coarse": (_with_samples(orb, displaced), 0.05),
+                "sharp": (_with_samples(orb, sharp), 1e-6)}
+
+    @pytest.mark.parametrize("variant", ["offset", "noise", "noise-loose-tol", "odd-grid",
+                                         "near-coarse", "sharp"])
+    def test_altered_wave(self, variant):
+        sys_, orb = _coarse_orbits()["ring3"]
+        altered, tol = self._altered_waves(orb)[variant]
+        pat = detect_phase(sys_, altered, tol=tol)
+        assert pat == _brute_force_phase(sys_, altered, tol=tol)
+        if variant != "noise":  # 1e-3 noise is above the default tolerance
+            thetas = pat.shifts(1, 2).thetas()
+            assert min(abs(t - 1 / 3) for t in thetas) < 1e-3
+
+    def test_exact_sups_per_pair(self, monkeypatch):
+        # the bound leaves about 5 of 512 shifts per pair; a scan of the
+        # whole grid would make 512 np.roll calls per pair
+        sys_, orb = _coarse_orbits()["ring3"]
+        calls = []
+        roll = np.roll
+
+        def counted_roll(*args, **kwargs):
+            calls.append(1)
+            return roll(*args, **kwargs)
+
+        monkeypatch.setattr(np, "roll", counted_roll)
+        pat = detect_phase(sys_, orb)
+        assert len(pat.pairs) == 9
+        assert 9 <= len(calls) <= 16 * 9
+
+    @pytest.mark.parametrize("name", ["ring3", "ring4", "ring5", "control", "hopf"])
+    def test_self_shift_snaps_to_zero(self, name):
+        # a golden section ends within rounding of 0 from either side
+        sys_, orb = _coarse_orbits()[name]
+        pat = detect_phase(sys_, orb)
+        for c in sys_.layout.node_ids:
+            assert pat.shifts(c, c).thetas() == (0.0,)
 
 
 def _trig_sum(x: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from ccnet.admissible import (AdmissibleSystem, Perturbation, arg_permutations,
                               random_polydiagonal_point)
 from ccnet.colouring import (Colouring, compare, enumerate_balanced,
                              is_balanced, LatticePosition, refines)
-from ccnet.dynamics import detect_synchrony, integrate
+from ccnet.dynamics import _shift_mean_squares, _spectrum, detect_synchrony, integrate
 from ccnet.expr import Arity
 from ccnet.library import HOPF, four_node_control_net, uniform_ring
 from ccnet.network import mk_network, vertex_group
@@ -189,3 +189,34 @@ class TestPhaseReflection:
             assert pair.full_circle == mirror.full_circle
             for theta, _ in pair.shifts:
                 assert mirror.contains((1.0 - theta) % 1.0)
+
+
+def _periodic_signal(rng, grid: int, cols: int, offset: float) -> np.ndarray:
+    """Random Fourier coefficients on six random modes (Nyquist included
+    for an even grid), plus an offset."""
+    t = np.arange(grid) / grid
+    out = np.full((grid, cols), offset) + rng.standard_normal(cols)
+    for k in rng.integers(1, grid // 2 + 1, size=6):
+        a, b = rng.standard_normal((2, cols))
+        out += np.outer(np.cos(2 * np.pi * k * t), a) + np.outer(np.sin(2 * np.pi * k * t), b)
+    return out
+
+
+class TestPhaseScanBound:
+    """The FFT mean square detect_phase prunes shifts by: it is the
+    brute-force mean square, and at most the exact squared sup plus its
+    margin."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10 ** 9), grid=st.sampled_from([341, 512]),
+           cols=st.integers(1, 3), offset=st.floats(-50.0, 50.0))
+    def test_mean_square_bounds_sup(self, seed, grid, cols, offset):
+        rng = np.random.default_rng(seed)
+        bc = _periodic_signal(rng, grid, cols, offset)
+        bd = _periodic_signal(rng, grid, cols, rng.uniform(-1.0, 1.0) * offset)
+        ms, margin = _shift_mean_squares(_spectrum(bc), _spectrum(bd), grid)
+        rows = (np.arange(grid)[:, None] + np.arange(grid)[None, :]) % grid
+        sq = np.sum((bc[None] - bd[rows]) ** 2, axis=2)  # [s, t]: |bc[t] - bd[t + s]|^2
+        total = (np.sum(bc * bc) + np.sum(bd * bd)) / grid
+        assert np.max(np.abs(ms - sq.mean(axis=1))) <= 1e-12 * total
+        assert np.all(ms <= sq.max(axis=1) + margin)
