@@ -11,7 +11,6 @@ invariant under every admissible vector field.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -265,36 +264,64 @@ def coarsest_balanced_refinement(net: Network, col: Colouring) -> Colouring:
     raise AssertionError("refinement failed to reach a fixed point")
 
 
-def _set_partitions(items: tuple[int, ...]):
-    """All partitions of items (restricted-growth enumeration)."""
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        yield ((first,),) + sub
-        for i, part in enumerate(sub):
-            yield sub[:i] + ((first,) + part,) + sub[i + 1:]
-
-
 def enumerate_balanced(net: Network, cap: int = 10) -> list[Colouring]:
-    """All balanced colourings.
+    """All balanced colourings, sorted coarsest-first by (colour count,
+    colours).
 
-    Balanced classes never cross input-equivalence classes, so candidate
-    partitions are assembled per input class rather than over all set
-    partitions of the node set.  Results are sorted coarsest-first by
-    colour count and verified by is_balanced.
+    A depth-first search assigns colours in node-id order.  A node takes a
+    colour already used in its input class or the next new colour (a
+    restricted-growth string per class), so every product of per-class set
+    partitions is reached once.  Assigned colours never change, so once a
+    node and all its tails are assigned its (arrow type, tail colour)
+    signature is final: it is compared with the first final signature of
+    its colour there, and the branch is dropped on a mismatch.  Every node
+    is checked once, so exactly the balanced colourings are kept.
     """
-    if len(net.node_ids) > cap:
+    ids = net.node_ids
+    n = len(ids)
+    if n > cap:
         raise NetworkError(f"balanced enumeration capped at {cap} nodes, "
-                           f"network has {len(net.node_ids)}")
-    per_class = [list(_set_partitions(cls)) for cls in net.input_partition]
+                           f"network has {n}")
+    pos = {c: i for i, c in enumerate(ids)}
+    cls_of = {c: k for k, cls in enumerate(net.input_partition) for c in cls}
+    ins = [[(a.arrow_type, pos[a.tail]) for a in net.input_set(c)] for c in ids]
+    ready: list[list[int]] = [[] for _ in range(n)]
+    for j in range(n):
+        ready[max([j] + [t for _, t in ins[j]])].append(j)
+    colour = [0] * n
+    class_colours: list[list[int]] = [[] for _ in net.input_partition]
+    first_sig: dict[int, list] = {}
     found = []
-    for combo in itertools.product(*per_class):
-        parts = [p for sub in combo for p in sub]
-        col = Colouring.from_parts(net.node_ids, parts)
-        if is_balanced(net, col):
-            found.append(col)
+
+    def extend(i: int, used: int):
+        if i == n:
+            found.append(Colouring(ids, tuple(colour)))
+            return
+        own = class_colours[cls_of[ids[i]]]
+        for col in own + [used]:
+            colour[i] = col
+            stored = []
+            ok = True
+            for j in ready[i]:
+                sig = sorted((t, colour[p]) for t, p in ins[j])
+                ref = first_sig.get(colour[j])
+                if ref is None:
+                    first_sig[colour[j]] = sig
+                    stored.append(colour[j])
+                elif ref != sig:
+                    ok = False
+                    break
+            if ok:
+                if col == used:
+                    own.append(col)
+                    extend(i + 1, used + 1)
+                    own.pop()
+                else:
+                    extend(i + 1, used)
+            for col_j in stored:
+                del first_sig[col_j]
+
+    extend(0, 0)
     found.sort(key=lambda c: (c.n_colours, c.colours))
     return found
 

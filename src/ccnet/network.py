@@ -350,66 +350,78 @@ def transitive_components(net: Network) -> ComponentDag:
 
 # -- automorphisms -------------------------------------------------------
 
-def automorphisms(net: Network, cap: int = 8) -> list[dict[int, int]]:
-    """All node permutations preserving node types and arrow-type-counted
-    adjacency, by brute force.  Raises when the node count exceeds cap."""
-    ids = net.node_ids
-    if len(ids) > cap:
-        raise NetworkError(f"automorphism search capped at {cap} nodes, "
-                           f"network has {len(ids)}")
+def _arrow_counts(net: Network) -> dict[tuple[str, int, int], int]:
     counts: dict[tuple[str, int, int], int] = {}
     for a in net.arrows:
         key = (a.arrow_type, a.head, a.tail)
         counts[key] = counts.get(key, 0) + 1
-    types = net.arrow_types()
-    result = []
-    for perm in itertools.permutations(ids):
-        sigma = dict(zip(ids, perm))
-        if any(net.node_type(c) != net.node_type(sigma[c]) for c in ids):
-            continue
-        ok = True
-        for t in types:
-            for (at, h, tl), k in counts.items():
-                if at != t:
-                    continue
-                if counts.get((t, sigma[h], sigma[tl]), 0) != k:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            result.append(sigma)
-    return result
+    return counts
+
+
+def _isomorphisms(net1: Network, net2: Network) -> Iterator[dict[int, int]]:
+    """Node maps net1 -> net2 that preserve node types and carry every
+    typed arrow count of net1 to an equal count in net2, in the order of
+    itertools.permutations(net2.node_ids).
+
+    A depth-first search maps net1.node_ids in order.  A node's candidates
+    are net2's untaken ids of its node type, in net2.node_ids order, and a
+    candidate is dropped as soon as a count whose later endpoint is this
+    node differs at the images.  Equal arrow totals, checked by the caller
+    when net1 is not net2, make each map an isomorphism.
+    """
+    ids1, ids2 = net1.node_ids, net2.node_ids
+    pos = {c: i for i, c in enumerate(ids1)}
+    counts2 = _arrow_counts(net2)
+    checks: list[list[tuple]] = [[] for _ in ids1]
+    for (t, h, tl), k in _arrow_counts(net1).items():
+        checks[max(pos[h], pos[tl])].append((t, h, tl, k))
+    types1 = [net1.node_type(c) for c in ids1]
+    sigma: dict[int, int] = {}
+    taken: set[int] = set()
+
+    def extend(i: int):
+        if i == len(ids1):
+            yield dict(sigma)
+            return
+        c = ids1[i]
+        for d in ids2:
+            if d in taken or net2.node_type(d) != types1[i]:
+                continue
+            sigma[c] = d
+            if all(counts2.get((t, sigma[h], sigma[tl]), 0) == k
+                   for t, h, tl, k in checks[i]):
+                taken.add(d)
+                yield from extend(i + 1)
+                taken.discard(d)
+            del sigma[c]
+
+    return extend(0)
+
+
+def automorphisms(net: Network, cap: int = 8) -> list[dict[int, int]]:
+    """All node permutations preserving node types and arrow-type-counted
+    adjacency, by the pruned search of _isomorphisms, in
+    itertools.permutations(net.node_ids) order.  Raises when the node
+    count exceeds cap."""
+    ids = net.node_ids
+    if len(ids) > cap:
+        raise NetworkError(f"automorphism search capped at {cap} nodes, "
+                           f"network has {len(ids)}")
+    return list(_isomorphisms(net, net))
 
 
 def isomorphic(net1: Network, net2: Network, cap: int = 8) -> bool:
-    """Brute-force isomorphism test (node types + typed adjacency counts)."""
+    """Isomorphism test (node types + typed adjacency counts) by the pruned
+    search of _isomorphisms: a map that carries each of net1's counts to
+    net2, with equal arrow totals, leaves no arrow of net2 unmatched."""
     ids1, ids2 = net1.node_ids, net2.node_ids
     if len(ids1) != len(ids2):
         return False
     if len(ids1) > cap:
         raise NetworkError(f"isomorphism search capped at {cap} nodes")
-    if sorted(net1.node_type(c) for c in ids1) != sorted(net2.node_type(c) for c in ids2):
+    if len(net1.arrows) != len(net2.arrows):
         return False
-
-    def count_map(net):
-        m: dict[tuple[str, int, int], int] = {}
-        for a in net.arrows:
-            key = (a.arrow_type, a.head, a.tail)
-            m[key] = m.get(key, 0) + 1
-        return m
-
-    c1, c2 = count_map(net1), count_map(net2)
-    if sorted(c1.values()) != sorted(c2.values()):
-        return False
-    for perm in itertools.permutations(ids2):
-        sigma = dict(zip(ids1, perm))
-        if any(net1.node_type(c) != net2.node_type(sigma[c]) for c in ids1):
-            continue
-        mapped = {(t, sigma[h], sigma[tl]): k for (t, h, tl), k in c1.items()}
-        if mapped == c2:
-            return True
-    return False
+    return next(_isomorphisms(net1, net2), None) is not None
 
 
 # -- validation -----------------------------------------------------------

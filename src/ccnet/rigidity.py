@@ -717,10 +717,11 @@ def hk_report(net: Network, col: Colouring, pattern: PhasePattern,
               resolution: float = 2.0 / PHASE_GRID) -> HKReport:
     """Check a detected phase pattern against cyclic quotient symmetry.
 
-    Builds the quotient by the balanced colouring, brute-forces its
-    automorphisms, tests cyclicity, verifies each detected shift is a
-    multiple of 1/k (k the group order), and looks for a generator gamma
-    with gamma^m [c] = [d] whenever theta_cd = m/k.
+    Builds the quotient by the balanced colouring, lists its automorphisms
+    (a pruned search, in itertools.permutations order), tests cyclicity,
+    verifies each detected shift is a multiple of 1/k (k the group order),
+    and reports the first generator gamma in that order with
+    gamma^m [c] = [d] whenever theta_cd = m/k.
     """
     from .network import automorphisms
     from .quotient import quasi_quotient

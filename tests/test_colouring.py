@@ -9,7 +9,7 @@ from ccnet.colouring import (Colouring, ColouringError, LatticePosition,
                              colouring_to_json, compare, enumerate_balanced,
                              input_classes, is_balanced, join, meet, refines,
                              refinement_round)
-from ccnet.library import four_node_control_net, three_node_ring
+from ccnet.library import four_node_control_net, three_node_ring, uniform_ring
 from ccnet.network import NetworkError, mk_network
 
 
@@ -152,6 +152,16 @@ class TestEnumeration:
         net = mk_network(["N"] * 11, [])
         with pytest.raises(NetworkError):
             enumerate_balanced(net)
+
+    def test_ring10_builds_few_colourings(self, monkeypatch):
+        # the pruned search builds a Colouring only for a balanced result
+        # (4 here); the full walk over per-class partitions built 115 975
+        built = []
+        post_init = Colouring.__post_init__
+        monkeypatch.setattr(Colouring, "__post_init__",
+                            lambda self: built.append(1) or post_init(self))
+        assert len(enumerate_balanced(uniform_ring(10))) == 4
+        assert len(built) <= 16
 
 
 class TestBalancedFlowInvariance:

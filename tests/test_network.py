@@ -8,6 +8,7 @@ from ccnet.network import (Network, NetworkError, Node, Arrow, automorphisms,
                            network_from_json, network_to_json,
                            transitive_components, validate_network,
                            vertex_group)
+from ccnet.library import uniform_ring
 
 
 def parts(col):
@@ -195,6 +196,22 @@ class TestAutomorphisms:
         net = mk_network(["N"] * 9, [])
         with pytest.raises(NetworkError):
             automorphisms(net)
+
+    def test_search_work(self, monkeypatch):
+        # every candidate image costs one node_type call; the walks over
+        # all 8! permutations made 645 120 calls for each query below
+        calls = []
+        node_type = Network.node_type
+        monkeypatch.setattr(Network, "node_type",
+                            lambda self, c: calls.append(c) or node_type(self, c))
+        ring8 = uniform_ring(8)
+        two4 = mk_network(["R"] * 8, [("s", c % 4 + 1, c) for c in range(1, 5)]
+                          + [("s", c % 4 + 5, c + 4) for c in range(1, 5)])
+        assert len(automorphisms(ring8)) == 8
+        assert len(calls) <= 4000
+        calls.clear()
+        assert not isomorphic(ring8, two4)
+        assert len(calls) <= 4000
 
 
 class TestJsonAndIso:

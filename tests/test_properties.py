@@ -1,20 +1,26 @@
 """Standalone property suites: group invariance of evaluation, balanced
 polydiagonal flow invariance, semicontinuity of detection, bump support
-contracts, and phase-pattern reflection symmetry."""
+contracts, phase-pattern reflection symmetry, and the pruned combinatorial
+searches against the brute-force walks they replaced."""
+
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ccnet.admissible import (AdmissibleSystem, Perturbation, arg_permutations,
                               invariance_residual, polydiagonal_distance,
                               random_polydiagonal_point)
 from ccnet.colouring import (Colouring, compare, enumerate_balanced,
                              is_balanced, LatticePosition, refines)
-from ccnet.dynamics import _shift_mean_squares, _spectrum, detect_synchrony, integrate
+from ccnet.dynamics import (PairShifts, PhasePattern, _shift_mean_squares, _spectrum,
+                            detect_synchrony, integrate)
 from ccnet.expr import Arity
 from ccnet.library import HOPF, four_node_control_net, uniform_ring
-from ccnet.network import mk_network, vertex_group
+from ccnet.network import automorphisms, isomorphic, mk_network, vertex_group
+from ccnet.quotient import quasi_quotient
+from ccnet.rigidity import _perm_order, hk_report
 
 
 def _fmt(v: float) -> str:
@@ -220,3 +226,162 @@ class TestPhaseScanBound:
         total = (np.sum(bc * bc) + np.sum(bd * bd)) / grid
         assert np.max(np.abs(ms - sq.mean(axis=1))) <= 1e-12 * total
         assert np.all(ms <= sq.max(axis=1) + margin)
+
+
+# -- brute-force oracles: the walks enumerate_balanced, automorphisms and
+# isomorphic ran before their searches were pruned
+
+def _oracle_set_partitions(items):
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for sub in _oracle_set_partitions(rest):
+        yield ((first,),) + sub
+        for i, part in enumerate(sub):
+            yield sub[:i] + ((first,) + part,) + sub[i + 1:]
+
+
+def _oracle_enumerate(net):
+    per_class = [list(_oracle_set_partitions(cls)) for cls in net.input_partition]
+    found = []
+    for combo in itertools.product(*per_class):
+        col = Colouring.from_parts(net.node_ids, [p for sub in combo for p in sub])
+        if is_balanced(net, col):
+            found.append(col)
+    found.sort(key=lambda c: (c.n_colours, c.colours))
+    return found
+
+
+def _oracle_counts(net):
+    m = {}
+    for a in net.arrows:
+        key = (a.arrow_type, a.head, a.tail)
+        m[key] = m.get(key, 0) + 1
+    return m
+
+
+def _oracle_automorphisms(net):
+    ids, counts = net.node_ids, _oracle_counts(net)
+    result = []
+    for perm in itertools.permutations(ids):
+        sigma = dict(zip(ids, perm))
+        if any(net.node_type(c) != net.node_type(sigma[c]) for c in ids):
+            continue
+        if all(counts.get((t, sigma[h], sigma[tl]), 0) == k
+               for (t, h, tl), k in counts.items()):
+            result.append(sigma)
+    return result
+
+
+def _oracle_isomorphic(net1, net2):
+    ids1, ids2 = net1.node_ids, net2.node_ids
+    if len(ids1) != len(ids2):
+        return False
+    c1, c2 = _oracle_counts(net1), _oracle_counts(net2)
+    for perm in itertools.permutations(ids2):
+        sigma = dict(zip(ids1, perm))
+        if any(net1.node_type(c) != net2.node_type(sigma[c]) for c in ids1):
+            continue
+        if {(t, sigma[h], sigma[tl]): k for (t, h, tl), k in c1.items()} == c2:
+            return True
+    return False
+
+
+@st.composite
+def _network_specs(draw, ids=None, n_arrows=None):
+    """Random typed multi-networks: 1-7 nodes, contiguous or scattered ids,
+    1-2 node and arrow types, up to 2n+2 arrows with self-loops and
+    multi-arrows (an arrowless network when none are drawn)."""
+    if ids is None:
+        n = draw(st.integers(1, 7))
+        ids = (sorted(draw(st.sets(st.integers(1, 20), min_size=n, max_size=n)))
+               if draw(st.booleans()) else list(range(1, n + 1)))
+    node_types = draw(st.sampled_from([("A",), ("A", "B")]))
+    arrow_types = draw(st.sampled_from([("s",), ("s", "t")]))
+    types = {c: draw(st.sampled_from(node_types)) for c in ids}
+    arrow = st.tuples(st.sampled_from(arrow_types), st.sampled_from(ids),
+                      st.sampled_from(ids))
+    if n_arrows is None:
+        arrows = draw(st.lists(arrow, max_size=2 * len(ids) + 2))
+    else:
+        arrows = draw(st.lists(arrow, min_size=n_arrows, max_size=n_arrows))
+    return types, arrows
+
+
+@st.composite
+def _relabelled(draw, spec):
+    types, arrows = spec
+    ids = sorted(types)
+    m = dict(zip(ids, draw(st.permutations(ids))))
+    return ({m[c]: t for c, t in types.items()},
+            draw(st.permutations([(a, m[h], m[tl]) for a, h, tl in arrows])))
+
+
+@st.composite
+def _isomorphism_cases(draw):
+    """A network, a relabelled copy, a network on the same ids with the
+    same arrow total (only the search can tell it apart), and one more
+    arrow for the network."""
+    spec = draw(_network_specs())
+    ids = sorted(spec[0])
+    return (spec, draw(_relabelled(spec)),
+            draw(_network_specs(ids=ids, n_arrows=len(spec[1]))),
+            draw(st.tuples(st.sampled_from(("s", "t")), st.sampled_from(ids),
+                           st.sampled_from(ids))))
+
+
+_SCATTERED = ({4: "A", 7: "A", 9: "A"}, [])
+_LOOPS = ({4: "A", 7: "A", 9: "B"}, [("s", 4, 4), ("s", 7, 4), ("s", 7, 4),
+                                     ("t", 9, 9), ("s", 4, 7)])
+
+
+class TestSearchAgainstBruteForce:
+    """enumerate_balanced, automorphisms and isomorphic give the brute-force
+    walks' outputs, in the same order, on random typed multi-networks."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(spec=_network_specs())
+    @example(spec=_SCATTERED)
+    @example(spec=_LOOPS)
+    def test_enumeration_and_automorphisms(self, spec):
+        net = mk_network(*spec)
+        cols = enumerate_balanced(net)
+        assert cols == _oracle_enumerate(net)
+        assert all(is_balanced(net, col) for col in cols)
+        assert automorphisms(net) == _oracle_automorphisms(net)
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=_isomorphism_cases())
+    @example(case=(_SCATTERED, ({1: "A", 2: "A", 3: "A"}, []),
+                   ({4: "A", 7: "A", 9: "B"}, []), ("s", 4, 9)))
+    @example(case=(_LOOPS,
+                   ({9: "A", 4: "A", 7: "B"}, [("s", 9, 9), ("s", 4, 9), ("s", 4, 9),
+                                               ("t", 7, 7), ("s", 9, 4)]),
+                   ({4: "A", 7: "A", 9: "B"}, [("s", 4, 4), ("s", 7, 4), ("s", 7, 7),
+                                               ("t", 9, 9), ("s", 4, 7)]),
+                   ("t", 4, 7)))
+    def test_isomorphic(self, case):
+        (types, arrows), copy, other, extra = case
+        net = mk_network(types, arrows)
+        copy, other = mk_network(*copy), mk_network(*other)
+        assert isomorphic(net, copy) and isomorphic(copy, net)
+        assert isomorphic(net, other) == _oracle_isomorphic(net, other)
+        plus = mk_network(types, arrows + [extra])
+        assert not isomorphic(net, plus) and not isomorphic(plus, net)
+
+    def test_hk_generator_in_oracle_order(self):
+        # the 8-ring coloured mod 4 has the 4-ring as quotient: both
+        # rotations by one step generate its Z4 and satisfy theta(1,3) = 1/2,
+        # so hk_report's generator is the first of them in search order
+        net = uniform_ring(8)
+        col = Colouring.from_map({c: (c - 1) % 4 for c in net.node_ids})
+        pattern = PhasePattern(period=1.0, pairs={
+            (1, 1): PairShifts(False, ((0.0, 0.0),)),
+            (1, 3): PairShifts(False, ((0.5, 0.0),))})
+        rep = hk_report(net, col, pattern)
+        qq = quasi_quotient(net, col, col.representatives())
+        autos = _oracle_automorphisms(qq.network)
+        order4 = [g for g in autos if _perm_order(g) == 4]
+        assert rep.group_order == len(autos) == 4 and rep.consistent
+        assert rep.generator == order4[0] == {1: 2, 2: 3, 3: 4, 4: 1}
