@@ -34,6 +34,15 @@ class AdmissibleError(ValueError):
 
 # -- state layout -----------------------------------------------------------
 
+def block_slices(dims: Sequence[int], start: int = 0) -> tuple[slice, ...]:
+    """Consecutive slices of lengths dims, the first beginning at start."""
+    out = []
+    for d in dims:
+        out.append(slice(start, start + d))
+        start += d
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class StateLayout:
     """Flat float64 layout of the product state space, nodes in id order."""
@@ -42,12 +51,8 @@ class StateLayout:
     dims: tuple[int, ...]
 
     @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for d in self.dims:
-            out.append(acc)
-            acc += d
-        return tuple(out)
+    def slices(self) -> tuple[slice, ...]:
+        return block_slices(self.dims)
 
     @property
     def total_dim(self) -> int:
@@ -60,17 +65,13 @@ class StateLayout:
             raise NetworkError(f"unknown node id {c}") from None
 
     def offset_of(self, c: int) -> int:
-        return self.offsets[self.index_of(c)]
+        return self.slice_of(c).start
 
     def dim_of(self, c: int) -> int:
         return self.dims[self.index_of(c)]
 
     def slice_of(self, c: int) -> slice:
-        i = self.index_of(c)
-        return slice(self.offsets[i], self.offsets[i] + self.dims[i])
-
-    def node_value(self, x: np.ndarray, c: int) -> np.ndarray:
-        return np.asarray(x)[..., self.slice_of(c)]
+        return self.slices[self.index_of(c)]
 
     def pack(self, values: Mapping[int, Sequence[float]]) -> np.ndarray:
         x = np.zeros(self.total_dim)
@@ -80,9 +81,6 @@ class StateLayout:
                 raise AdmissibleError(f"node {c} expects dimension {self.dim_of(c)}")
             x[self.slice_of(c)] = v
         return x
-
-    def unpack(self, x: np.ndarray) -> dict[int, np.ndarray]:
-        return {c: np.array(x[self.slice_of(c)]) for c in self.node_ids}
 
 
 def layout_for(net: Network, dims: Mapping[str, int]) -> StateLayout:
@@ -185,7 +183,7 @@ class AdmissibleSystem:
                  components: Mapping[int, str | ComponentExpr],
                  symmetrise: bool = False):
         report = validate_network(network, dims)
-        if not report.dim_consistent or report.dim_errors:
+        if not report.ok:
             raise AdmissibleError("invalid dimensions: " + "; ".join(report.dim_errors))
         self.network = network
         self.dims = dict(dims)
@@ -319,9 +317,6 @@ class AdmissibleSystem:
                     f"node {c}: non-finite value in {exc.subexpr!r}") from None
         return out
 
-    def flow_args(self):
-        return self.compiled
-
     def component_value(self, c: int, self_val: Sequence[float],
                         inputs: Sequence[Sequence[float]]) -> np.ndarray:
         """Value of node c's component at explicit arguments, honouring the
@@ -403,14 +398,10 @@ def _rhs_source(sys: AdmissibleSystem) -> tuple[str, dict]:
                 gather.append(row)
             gname = f"_G{c}"
             ns[gname] = gather
-            slot_starts = []
-            acc = 0
-            for d in arity.input_dims:
-                slot_starts.append(acc)
-                acc += d
+            slots = block_slices(arity.input_dims)
 
-            def uref(slot, i, slot_starts=slot_starts, gname=gname, c=c):
-                return f"s[{gname}[_p{c}][{slot_starts[slot - 1] + i - 1}]]"
+            def uref(slot, i, slots=slots, gname=gname, c=c):
+                return f"s[{gname}[_p{c}][{slots[slot - 1].start + i - 1}]]"
             for t in range(k):
                 lines.append(f"    _acc{c}_{t} = 0.0")
             lines.append(f"    for _p{c} in range({len(perms)}):")
@@ -436,12 +427,11 @@ def invariance_residual(sys: AdmissibleSystem, c: int,
 
 # -- symmetrisation of callables ------------------------------------------------------
 
-def symmetrise_component(fn: Callable, group: VertexGroup,
-                         cap: int = _SYMMETRISE_CAP) -> Callable:
+def symmetrise_component(fn: Callable, group: VertexGroup) -> Callable:
     """Average fn(self_state, inputs) over all pullback permutations of the
     input tuple.  The result is exactly invariant under the group action and
     its sup norm never exceeds fn's."""
-    elements = group.elements(cap=cap)
+    elements = group.elements(cap=_SYMMETRISE_CAP)
 
     def averaged(x, inputs):
         inputs = list(inputs)
@@ -460,17 +450,13 @@ def symmetrise_component(fn: Callable, group: VertexGroup,
 def arg_permutations(group: VertexGroup, arity: Arity) -> list[tuple[int, ...]]:
     """Slot permutations of the vertex group as index permutations of the
     flat argument vector (self coordinates fixed)."""
-    starts = []
-    acc = arity.self_dim
-    for d in arity.input_dims:
-        starts.append(acc)
-        acc += d
+    slots = block_slices(arity.input_dims, arity.self_dim)
     out = []
     for perm in group.elements(cap=_SYMMETRISE_CAP):
         idx = list(range(arity.self_dim))
-        for slot in range(len(arity.input_dims)):
-            src = perm[slot]
-            idx.extend(starts[src] + i for i in range(arity.input_dims[src]))
+        for slot in range(len(slots)):
+            src = slots[perm[slot]]
+            idx.extend(range(src.start, src.stop))
         out.append(tuple(idx))
     return out
 
@@ -596,9 +582,6 @@ class PerturbedSystem:
         base = self.base.compiled
         return CompiledField(base.rhs, base.rhs_block, self._pack, self.layout)
 
-    def flow_args(self) -> CompiledField:
-        return self.compiled
-
     def evaluate(self, x: Sequence[float]) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = self.base.evaluate(x).tolist()
@@ -637,16 +620,8 @@ def c1_norm_estimate(fn: Callable, points: Sequence[Sequence[float]],
     if points.shape[1] != n_in:
         raise AdmissibleError(f"grid points have dimension {points.shape[1]}, "
                               f"expected {n_in}")
-    out_slices = []
-    acc = 0
-    for d in out_dims:
-        out_slices.append(slice(acc, acc + d))
-        acc += d
-    in_slices = []
-    acc = 0
-    for d in in_dims:
-        in_slices.append(slice(acc, acc + d))
-        acc += d
+    out_slices = block_slices(out_dims)
+    in_slices = block_slices(in_dims)
 
     best = 0.0
     for x in points:
@@ -684,11 +659,11 @@ def component_c1_estimate(sys, class_rep: int,
     base = sys.base if isinstance(sys, PerturbedSystem) else sys
     arity = base.arity_of(rep)
     dims = (arity.self_dim,) + arity.input_dims
-    splits = np.cumsum(dims)[:-1]
+    slices = block_slices(dims)
 
     def fn(y):
-        parts = np.split(np.asarray(y, dtype=float), splits)
-        return sys.component_value(rep, parts[0], parts[1:])
+        y = np.asarray(y, dtype=float)
+        return sys.component_value(rep, y[slices[0]], [y[s] for s in slices[1:]])
 
     return c1_norm_estimate(fn, points, out_dims=(arity.self_dim,), in_dims=dims)
 

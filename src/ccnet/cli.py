@@ -8,6 +8,7 @@ rigidly steady node on a transitive network).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys as _sys
 
@@ -17,7 +18,7 @@ from . import (AdmissibleSystem, Colouring, ProbeConfig, Tolerances,
                case_study_3ring, classify_2node,
                coarsest_balanced_refinement, colouring_from_json,
                colouring_to_json, detect_phase, enumerate_balanced,
-               find_periodic_orbit, floquet, full_oscillation_probe,
+               find_periodic_orbit, full_oscillation_probe,
                hk_report, input_classes, integrate, is_balanced,
                is_hyperbolic, linearly_equivalent, network_from_json,
                network_to_json, phase_probe, quasi_quotient, rigidity_probe,
@@ -62,12 +63,8 @@ def _emit(args, payload: dict):
 
 
 def _tolerances(args) -> Tolerances:
-    kw = {}
-    for name in ("sync", "triv", "hyp", "orbit", "phase", "steady"):
-        v = getattr(args, f"tol_{name}", None)
-        if v is not None:
-            kw[name] = v
-    return Tolerances(**kw)
+    return Tolerances(**{f.name: getattr(args, f"tol_{f.name}")
+                         for f in dataclasses.fields(Tolerances)})
 
 
 def _probe_config(args) -> ProbeConfig:
@@ -96,10 +93,9 @@ def _add_probe_flags(p, needs_guess=True):
     p.add_argument("--ensemble", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--h", type=float, default=1e-3, help="integration step")
-    for name, default in (("sync", 1e-8), ("triv", 1e-5), ("hyp", 1e-3),
-                          ("orbit", 1e-10), ("phase", 1e-6), ("steady", 1e-8)):
-        p.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=float,
-                       default=default)
+    for f in dataclasses.fields(Tolerances):
+        p.add_argument(f"--tol-{f.name}", dest=f"tol_{f.name}", type=float,
+                       default=f.default)
     p.add_argument("--out", help="write the JSON report here")
 
 
@@ -172,8 +168,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--x0", required=True)
     p.add_argument("--tguess", type=float, required=True)
     p.add_argument("--h", type=float, default=1e-3)
-    p.add_argument("--tol-triv", dest="tol_triv", type=float, default=1e-5)
-    p.add_argument("--tol-hyp", dest="tol_hyp", type=float, default=1e-3)
+    p.add_argument("--tol-triv", dest="tol_triv", type=float, default=Tolerances.triv)
+    p.add_argument("--tol-hyp", dest="tol_hyp", type=float, default=Tolerances.hyp)
     p.add_argument("--out")
 
     p = sub.add_parser("probe", help="synchrony rigidity probe")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .network import Network, NetworkError
+from .network import Network, NetworkError, merge_pairs
 
 
 class ColouringError(ValueError):
@@ -110,9 +110,6 @@ class Colouring:
     def __str__(self):
         return "{" + ",".join("{" + ",".join(map(str, p)) + "}" for p in self.parts) + "}"
 
-    def same_colour(self, c: int, d: int) -> bool:
-        return self.colour_of(c) == self.colour_of(d)
-
     def representatives(self) -> tuple[int, ...]:
         """Least node id of each colour, ordered by colour id."""
         seen: dict[int, int] = {}
@@ -167,24 +164,8 @@ def meet(a: Colouring, b: Colouring) -> Colouring:
 def join(a: Colouring, b: Colouring) -> Colouring:
     """Transitive closure of the union of the two relations."""
     _check_same_nodes(a, b)
-    parent = {c: c for c in a.nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for col in (a, b):
-        for part in col.parts:
-            for c in part[1:]:
-                union(part[0], c)
-    return Colouring.from_map({c: find(c) for c in a.nodes})
+    pairs = [(part[0], c) for col in (a, b) for part in col.parts for c in part[1:]]
+    return Colouring.from_parts(a.nodes, merge_pairs(a.nodes, pairs))
 
 
 # -- network-aware constructions -------------------------------------------
@@ -209,6 +190,13 @@ def validate_colouring(net: Network, col: Colouring):
         raise ColouringError("colouring identifies nodes that are not state equivalent")
 
 
+def coloured_signature(net: Network, c: int, cmap: Mapping[int, int]) -> tuple:
+    """(node type, sorted (arrow type, tail colour) over c's inputs) under
+    the colour map cmap."""
+    return (net.node_type(c),
+            tuple(sorted((a.arrow_type, cmap[a.tail]) for a in net.input_set(c))))
+
+
 def is_balanced(net: Network, col: Colouring) -> bool:
     """Multiset criterion: same-coloured nodes must share node type and the
     multiset of (arrow type, tail colour) pairs over their input sets.
@@ -220,16 +208,10 @@ def is_balanced(net: Network, col: Colouring) -> bool:
     if col.nodes != net.node_ids:
         raise ColouringError("colouring is not over this network's nodes")
     cmap = col.colour_map
-    sig: dict[int, tuple] = {}
     for part in col.parts:
-        first = None
-        for c in part:
-            s = (net.node_type(c),
-                 tuple(sorted((a.arrow_type, cmap[a.tail]) for a in net.input_set(c))))
-            if first is None:
-                first = s
-            elif s != first:
-                return False
+        first = coloured_signature(net, part[0], cmap)
+        if any(coloured_signature(net, c, cmap) != first for c in part[1:]):
+            return False
     return True
 
 
@@ -237,15 +219,10 @@ def refinement_round(net: Network, col: Colouring) -> Colouring:
     """One splitting pass: nodes keep their colour only if they agree on
     (node type, multiset of (arrow type, tail colour)) with their class."""
     cmap = col.colour_map
-    sigs = {
-        c: (cmap[c], net.node_type(c),
-            tuple(sorted((a.arrow_type, cmap[a.tail]) for a in net.input_set(c))))
-        for c in net.node_ids
-    }
     order: dict[tuple, int] = {}
     out = {}
     for c in net.node_ids:
-        s = sigs[c]
+        s = (cmap[c], coloured_signature(net, c, cmap))
         if s not in order:
             order[s] = len(order)
         out[c] = order[s]
@@ -254,14 +231,18 @@ def refinement_round(net: Network, col: Colouring) -> Colouring:
 
 def coarsest_balanced_refinement(net: Network, col: Colouring) -> Colouring:
     """Coarsest balanced colouring finer than col: the fixed point of
-    signature splitting, reached in at most n rounds."""
+    signature splitting.
+
+    A round's signature includes the current colour, so each round refines
+    the colouring; a round that changes it adds at least one colour, so
+    the fixed point comes within n rounds for n nodes.
+    """
     current = col
-    for _ in range(len(net.node_ids) + 1):
+    while True:
         nxt = refinement_round(net, current)
         if nxt.colours == current.colours:
             return current
         current = nxt
-    raise AssertionError("refinement failed to reach a fixed point")
 
 
 def enumerate_balanced(net: Network, cap: int = 10) -> list[Colouring]:

@@ -6,8 +6,7 @@ with a fixed Poincare-section phase condition.  Monodromy matrices come
 from integrating the variational equation along the orbit (the field's
 Jacobian taken by central differences over one block evaluation of the
 rhs per RK4 stage), which keeps the small multipliers accurate enough for
-tight Floquet checks; differencing the time-T flow map directly is
-available as a fallback.  An orbit's monodromy and multipliers are lazy:
+tight Floquet checks.  An orbit's monodromy and multipliers are lazy:
 the variational pass runs on their first read, so orbits whose Floquet
 data nobody reads (continuation members, say) never pay for it.  An
 orbit is the trigonometric interpolant of its RK4 grid (Trefethen,
@@ -26,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .colouring import Colouring
-from .network import Network, transitive_components
+from .network import Network, merge_pairs, transitive_components
 
 ORBIT_SAMPLES = 1024
 PHASE_GRID = 512
@@ -72,7 +71,7 @@ def integrate(sys, x0: Sequence[float], t_span: float, h: float = 1e-3,
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial state is not finite")
-    f = sys.flow_args()
+    f = sys.compiled
     nsteps, h_eff = _steps_for(t_span, h)
     rec = max(1, min(record_every, nsteps))
     while nsteps % rec:
@@ -125,10 +124,6 @@ class PeriodicOrbit:
         """Floquet multipliers, sorted by |mu - 1|."""
         return _sorted_eigvals(self.monodromy)
 
-    @property
-    def trivial_multiplier(self) -> complex:
-        return complex(self.multipliers[0])
-
     @cached_property
     def _modes(self) -> np.ndarray:
         return np.fft.rfft(self.samples, axis=0)
@@ -143,28 +138,14 @@ class PeriodicOrbit:
         return np.fft.irfft(self._modes[:, cols] * rot[:, None], n=m, axis=0)
 
 
-def monodromy_matrix(sys, anchor: np.ndarray, T: float, h: float = 1e-3,
-                     method: str = "variational") -> np.ndarray:
-    """Fundamental matrix of the linearised flow over one period."""
-    f = sys.flow_args()
+def monodromy_matrix(sys, anchor: np.ndarray, T: float,
+                     h: float = 1e-3) -> np.ndarray:
+    """Fundamental matrix of the linearised flow over one period, by the
+    variational pass."""
     nsteps, h_eff = _steps_for(T, h)
     anchor = np.asarray(anchor, dtype=float)
-    scale = max(1.0, float(np.linalg.norm(anchor)))
-    fd = 1e-6 * scale
-    if method == "variational":
-        _, phi = f.flow_variational(anchor, h_eff, nsteps, fd)
-        return phi
-    if method == "flowmap":
-        n = len(anchor)
-        phi = np.empty((n, n))
-        for j in range(n):
-            xp = anchor.copy()
-            xp[j] += fd
-            xm = anchor.copy()
-            xm[j] -= fd
-            phi[:, j] = (f.flow(xp, h_eff, nsteps) - f.flow(xm, h_eff, nsteps)) / (2 * fd)
-        return phi
-    raise ValueError(f"unknown monodromy method {method!r}")
+    fd = 1e-6 * max(1.0, float(np.linalg.norm(anchor)))
+    return sys.compiled.flow_variational(anchor, h_eff, nsteps, fd)[1]
 
 
 def _sorted_eigvals(phi: np.ndarray) -> np.ndarray:
@@ -173,17 +154,15 @@ def _sorted_eigvals(phi: np.ndarray) -> np.ndarray:
     return mus[np.argsort(np.abs(mus - 1.0), kind="stable")]
 
 
-def floquet(sys, orbit: PeriodicOrbit, h: float | None = None,
-            method: str = "variational") -> np.ndarray:
+def floquet(sys, orbit: PeriodicOrbit, h: float | None = None) -> np.ndarray:
     """Floquet multipliers of the orbit, sorted by |mu - 1| ascending.
 
-    With the default step and method on the orbit's own system these are
-    the orbit's cached multipliers; otherwise a fresh pass runs."""
-    if h is None and method == "variational" and sys is orbit.system:
+    With the default step on the orbit's own system these are the orbit's
+    cached multipliers; otherwise a fresh pass runs."""
+    if h is None and sys is orbit.system:
         return orbit.multipliers
-    phi = monodromy_matrix(sys, orbit.anchor, orbit.period,
-                           h=h or orbit.step, method=method)
-    return _sorted_eigvals(phi)
+    return _sorted_eigvals(monodromy_matrix(sys, orbit.anchor, orbit.period,
+                                            h=h or orbit.step))
 
 
 def _trig_resample(x: np.ndarray, n: int) -> np.ndarray:
@@ -201,7 +180,7 @@ def _trig_resample(x: np.ndarray, n: int) -> np.ndarray:
 def _build_orbit(sys, anchor: np.ndarray, T: float, h: float, residual: float,
                  section_point: np.ndarray, section_normal: np.ndarray) -> PeriodicOrbit:
     nsteps, h_eff = _steps_for(T, h)
-    grid = sys.flow_args().flow_record(anchor, h_eff, nsteps, 1)[:-1]
+    grid = sys.compiled.flow_record(anchor, h_eff, nsteps, 1)[:-1]
     times = np.arange(ORBIT_SAMPLES) * (T / ORBIT_SAMPLES)
     samples = _trig_resample(grid, ORBIT_SAMPLES)
     return PeriodicOrbit(anchor=np.array(anchor, dtype=float), period=float(T),
@@ -227,7 +206,7 @@ def find_periodic_orbit(sys, x_guess: Sequence[float], T_guess: float,
     """
     if T_guess <= 0:
         raise ValueError("T_guess must be positive")
-    f = sys.flow_args()
+    f = sys.compiled
     x = np.asarray(x_guess, dtype=float).copy()
     T = float(T_guess)
     n = len(x)
@@ -306,7 +285,7 @@ def orbit_from_point(sys, x0: Sequence[float], T: float, h: float = 1e-3,
 
     Useful for orbits that cannot be Newton-polished because the monodromy
     is singular (structurally non-hyperbolic systems)."""
-    f = sys.flow_args()
+    f = sys.compiled
     x0 = np.asarray(x0, dtype=float)
     nsteps, h_eff = _steps_for(T, h)
     xT = f.flow(x0, h_eff, nsteps)
@@ -340,16 +319,16 @@ class HyperbolicityReport:
     warnings: list[str] = field(default_factory=list)
 
 
+def node_amplitude(block: np.ndarray) -> float:
+    """Largest Euclidean distance of a node's rows (times) from their mean."""
+    return float(np.max(np.linalg.norm(block - block.mean(axis=0), axis=1)))
+
+
 def oscillating_nodes(sys, samples: np.ndarray, tol: float = 1e-7) -> frozenset[int]:
     lay = sys.layout
-    out = set()
     scale = max(1.0, float(np.max(np.abs(samples))))
-    for c in lay.node_ids:
-        block = samples[:, lay.slice_of(c)]
-        amp = float(np.max(np.linalg.norm(block - block.mean(axis=0), axis=1)))
-        if amp > tol * scale:
-            out.add(c)
-    return frozenset(out)
+    return frozenset(c for c in lay.node_ids
+                     if node_amplitude(samples[:, lay.slice_of(c)]) > tol * scale)
 
 
 def is_hyperbolic(sys, orbit: PeriodicOrbit, net: Network | None = None,
@@ -420,17 +399,9 @@ def detect_synchrony(sys, traj, tol: float = 1e-8) -> Colouring:
     lay = sys.layout
     net = sys.network
     blocks = {c: states[:, lay.slice_of(c)] for c in lay.node_ids}
-    amp = {c: float(np.max(np.linalg.norm(b - b.mean(axis=0), axis=1)))
-           for c, b in blocks.items()}
+    amp = {c: node_amplitude(b) for c, b in blocks.items()}
 
-    parent = {c: c for c in lay.node_ids}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    pairs = []
     for cls in net.state_partition:
         for i, c in enumerate(cls):
             for d in cls[i + 1:]:
@@ -440,23 +411,16 @@ def detect_synchrony(sys, traj, tol: float = 1e-8) -> Colouring:
                 threshold = tol * scale if scale > 1e-8 else tol
                 gap = float(np.max(np.linalg.norm(blocks[c] - blocks[d], axis=1)))
                 if gap < threshold:
-                    rc, rd = find(c), find(d)
-                    if rc != rd:
-                        parent[max(rc, rd)] = min(rc, rd)
-    return Colouring.from_map({c: find(c) for c in lay.node_ids})
+                    pairs.append((c, d))
+    return Colouring.from_parts(lay.node_ids, merge_pairs(lay.node_ids, pairs))
 
 
 def detect_steady_nodes(sys, traj, tol: float = 1e-8) -> frozenset[int]:
     """Nodes whose amplitude over the trajectory stays below tol (absolute)."""
     states = _traj_states(traj)
     lay = sys.layout
-    out = set()
-    for c in lay.node_ids:
-        block = states[:, lay.slice_of(c)]
-        amp = float(np.max(np.linalg.norm(block - block.mean(axis=0), axis=1)))
-        if amp < tol:
-            out.add(c)
-    return frozenset(out)
+    return frozenset(c for c in lay.node_ids
+                     if node_amplitude(states[:, lay.slice_of(c)]) < tol)
 
 
 def upstream_closure(net: Network, nodes: Iterable[int]) -> frozenset[int]:
@@ -539,8 +503,7 @@ def detect_phase(sys, orbit: PeriodicOrbit, tol: float = 1e-6,
     grid = Xg.shape[0]
 
     blocks = {c: Xg[:, lay.slice_of(c)] for c in lay.node_ids}
-    amp = {c: float(np.max(np.linalg.norm(b - b.mean(axis=0), axis=1)))
-           for c, b in blocks.items()}
+    amp = {c: node_amplitude(b) for c, b in blocks.items()}
     steady = {c for c in lay.node_ids if amp[c] < steady_tol}
     spectra = {c: _spectrum(b) for c, b in blocks.items()}
 

@@ -20,6 +20,29 @@ class NetworkError(ValueError):
     """Structural problem: duplicate ids, dangling endpoints, bad queries."""
 
 
+def merge_pairs(nodes: Iterable[int],
+                pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Classes of the equivalence on nodes generated by pairs (union-find),
+    each sorted, ordered by least member."""
+    parent = {c: c for c in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    groups: dict[int, list[int]] = {}
+    for c in parent:
+        groups.setdefault(find(c), []).append(c)
+    return tuple(sorted((tuple(sorted(g)) for g in groups.values()),
+                        key=lambda g: g[0]))
+
+
 @dataclass(frozen=True, order=True)
 class Node:
     id: int
@@ -146,44 +169,16 @@ class Network:
         second rule collapses to: within one input class, all tails of
         same-typed inputs share a space.
         """
-        parent = {c: c for c in self.node_ids}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-
+        pairs = []
         for cls in self.input_partition:
-            for c in cls[1:]:
-                union(cls[0], c)
+            pairs += [(cls[0], c) for c in cls[1:]]
             tails_by_type: dict[str, list[int]] = {}
             for c in cls:
                 for a in self.input_set(c):
                     tails_by_type.setdefault(a.arrow_type, []).append(a.tail)
             for tails in tails_by_type.values():
-                for t in tails[1:]:
-                    union(tails[0], t)
-
-        groups: dict[int, list[int]] = {}
-        for c in self.node_ids:
-            groups.setdefault(find(c), []).append(c)
-        return tuple(sorted((tuple(sorted(g)) for g in groups.values()),
-                            key=lambda g: g[0]))
-
-    def state_class_of(self, c: int) -> tuple[int, ...]:
-        for cls in self.state_partition:
-            if c in cls:
-                return cls
-        raise NetworkError(f"unknown node id {c}")
-
-    def state_equivalent(self, c: int, d: int) -> bool:
-        return self.state_class_of(c) == self.state_class_of(d)
+                pairs += [(tails[0], t) for t in tails[1:]]
+        return merge_pairs(self.node_ids, pairs)
 
 
 # -- vertex groups ------------------------------------------------------
@@ -272,12 +267,6 @@ class ComponentDag:
     components: tuple[frozenset[int], ...]
     edges: tuple[tuple[int, int], ...]      # indices into components
     maximal: tuple[int, ...]                # indices with no incoming edge
-
-    def component_of(self, c: int) -> int:
-        for i, comp in enumerate(self.components):
-            if c in comp:
-                return i
-        raise NetworkError(f"unknown node id {c}")
 
     def maximal_node_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(self.components[i] for i in self.maximal)
@@ -434,10 +423,6 @@ class ValidationReport:
     dim_errors: list[str] = field(default_factory=list)
     irredundancy_warnings: list[str] = field(default_factory=list)
 
-    @property
-    def warnings(self) -> list[str]:
-        return list(self.irredundancy_warnings)
-
 
 def validate_network(net: Network, dims: Mapping[str, int] | None = None) -> ValidationReport:
     """Check dimension consistency against state equivalence and warn about
@@ -451,7 +436,6 @@ def validate_network(net: Network, dims: Mapping[str, int] | None = None) -> Val
     """
     state = net.state_partition
     dim_errors: list[str] = []
-    dim_consistent = True
     if dims is not None:
         for t in net.node_types():
             if t not in dims:
@@ -463,13 +447,9 @@ def validate_network(net: Network, dims: Mapping[str, int] | None = None) -> Val
                 if t in dims:
                     seen.setdefault(dims[t], []).append(c)
             if len(seen) > 1:
-                dim_consistent = False
                 dim_errors.append(
                     f"state-equivalent nodes {cls} carry unequal dimensions "
                     f"{sorted(seen)}")
-        if dim_errors:
-            dim_consistent = dim_consistent and not any(
-                "no dimension" in e for e in dim_errors)
 
     warnings = []
     heads_by_type: dict[str, set[int]] = {}
@@ -483,9 +463,8 @@ def validate_network(net: Network, dims: Mapping[str, int] | None = None) -> Val
                 f"not input equivalent (heads {sorted(heads)}); consider "
                 f"splitting the type per head class")
 
-    ok = dim_consistent and not dim_errors
-    return ValidationReport(ok=ok, state_classes=state,
-                            dim_consistent=dim_consistent and not dim_errors,
+    ok = not dim_errors  # an unequal-dimension class is itself an error
+    return ValidationReport(ok=ok, state_classes=state, dim_consistent=ok,
                             dim_errors=dim_errors,
                             irredundancy_warnings=warnings)
 

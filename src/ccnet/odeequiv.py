@@ -33,10 +33,6 @@ class AdjacencySet:
     node_type_matrices: dict[str, Matrix]
     arrow_matrices: dict[str, Matrix]
 
-    def all_matrices(self) -> list[Matrix]:
-        return ([self.node_type_matrices[t] for t in sorted(self.node_type_matrices)]
-                + [self.arrow_matrices[t] for t in sorted(self.arrow_matrices)])
-
 
 def adjacency_matrices(net: Network) -> AdjacencySet:
     order = net.node_ids
@@ -111,10 +107,6 @@ def row_space(mats: Sequence[Matrix]) -> tuple[tuple[Fraction, ...], ...]:
     """Canonical (RREF) basis of the span of flattened matrices."""
     rows = [[Fraction(v) for row in m for v in row] for m in mats]
     return _rref(rows)
-
-
-def span_dim(mats: Sequence[Matrix]) -> int:
-    return len(row_space(mats))
 
 
 def linearly_equivalent(n1: Network, n2: Network) -> bool:

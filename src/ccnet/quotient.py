@@ -32,9 +32,6 @@ class QuasiQuotient:
     bracket: Mapping[int, int]          # base node -> its representative
     arrow_origin: Mapping[int, int]     # quotient arrow id -> base arrow id
 
-    def bracket_of(self, c: int) -> int:
-        return self.bracket[c]
-
 
 def quasi_quotient(net: Network, col: Colouring, representatives: Iterable[int]) -> QuasiQuotient:
     """Build the quotient-by-representatives network.

@@ -26,12 +26,13 @@ import numpy as np
 from .admissible import (AdmissibleSystem, Perturbation, PerturbedSystem,
                          arg_permutations, c1_norm_estimate,
                          project_polydiagonal)
-from .colouring import Colouring, colouring_to_json, is_balanced, refines
+from .colouring import (Colouring, coloured_signature, colouring_to_json,
+                        is_balanced, refines)
 from .dynamics import (PHASE_GRID, HyperbolicityReport, OrbitError,
                        PeriodicOrbit, PhasePattern, detect_phase,
                        detect_steady_nodes, detect_synchrony,
-                       find_periodic_orbit, is_hyperbolic, orbit_from_point,
-                       upstream_closure)
+                       find_periodic_orbit, is_hyperbolic, node_amplitude,
+                       orbit_from_point, upstream_closure)
 from .library import case_study_scenarios, control_scenario
 from .network import Network, NetworkError, transitive_components, vertex_group
 from .quotient import double, doubled_system, find_good_representatives, shear
@@ -160,11 +161,6 @@ def node_tuple(sys, x: np.ndarray, c: int) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
-def _coloured_signature(net: Network, c: int, cmap: Mapping[int, int]) -> tuple:
-    return (net.node_type(c),
-            tuple(sorted((a.arrow_type, cmap[a.tail]) for a in net.input_set(c))))
-
-
 def find_conflict(net: Network, col: Colouring,
                   representatives: Sequence[int]) -> tuple[int, int, str] | None:
     """Smallest-id constraint node whose input tuple conflicts with its
@@ -178,7 +174,7 @@ def find_conflict(net: Network, col: Colouring,
         if n in rset:
             continue
         r = rep_by_colour[cmap[n]]
-        if _coloured_signature(net, n, cmap) == _coloured_signature(net, r, cmap):
+        if coloured_signature(net, n, cmap) == coloured_signature(net, r, cmap):
             continue
         if net.input_equivalent(n, r):
             case = "c"
@@ -289,9 +285,7 @@ def _relative_gap(sys, samples: np.ndarray, c: int, d: int) -> float:
     bc = samples[:, lay.slice_of(c)]
     bd = samples[:, lay.slice_of(d)]
     gap = float(np.max(np.linalg.norm(bc - bd, axis=1)))
-    amp = max(
-        float(np.max(np.linalg.norm(bc - bc.mean(axis=0), axis=1))),
-        float(np.max(np.linalg.norm(bd - bd.mean(axis=0), axis=1))))
+    amp = max(node_amplitude(bc), node_amplitude(bd))
     return gap / amp if amp > 1e-8 else gap
 
 

@@ -309,8 +309,8 @@ class TestPerturbedSystem:
         pert = Perturbation(class_rep=1, z=np.zeros(2), delta=1.0,
                             w=np.array([2.0]))
         psys = PerturbedSystem(sys, [pert], 0.5)
-        field = psys.flow_args()
-        assert psys.flow_args() is field
+        field = psys.compiled
+        assert psys.compiled is field
         assert field.rhs is sys.compiled.rhs
         assert field.lpack == tuple(a.tolist() for a in field.pack)
 

@@ -11,10 +11,11 @@ from ccnet.admissible import (AdmissibleSystem, CompiledField, FlowDiverged,
                               Perturbation, PerturbedSystem)
 from ccnet.dynamics import (ORBIT_SAMPLES, PHASE_GRID, CollapseToEquilibrium,
                             NoConvergence, PairShifts, PeriodicOrbit, PhasePattern,
-                            Trajectory, _sorted_eigvals, _trig_resample,
-                            detect_phase, detect_steady_nodes, detect_synchrony,
-                            find_periodic_orbit, floquet, integrate, is_hyperbolic,
-                            monodromy_matrix, orbit_from_point, upstream_closure)
+                            Trajectory, _sorted_eigvals, _steps_for,
+                            _trig_resample, detect_phase, detect_steady_nodes,
+                            detect_synchrony, find_periodic_orbit, floquet,
+                            integrate, is_hyperbolic, monodromy_matrix,
+                            orbit_from_point, upstream_closure)
 from ccnet.library import (HOPF, case_study_scenarios, control_scenario,
                            hopf_coupled, hopf_system, mixed_ring_wave_system,
                            ring_wave_system, rotation_system, three_node_ring,
@@ -54,8 +55,8 @@ class TestFlowDriver:
     def _fields(scenario):
         pert = Perturbation(class_rep=1, z=np.array([1.0, 0.0, 1.0, 0.0]),
                             delta=0.8, w=np.array([1.0, 0.0]))
-        return (scenario.system.flow_args(),
-                PerturbedSystem(scenario.system, [pert], 0.3).flow_args())
+        return (scenario.system.compiled,
+                PerturbedSystem(scenario.system, [pert], 0.3).compiled)
 
     def test_record_rows_are_flow_endpoints(self, scenarios):
         a = scenarios["A"]
@@ -73,7 +74,7 @@ class TestFlowDriver:
         # x' = x passes the 1e8 guard near t = 18; x' = x^3 overflows
         for comp, match in (("x[1]", "blow-up guard"), ("x[1]^3", None)):
             field = AdmissibleSystem(ring, {"P": 1, "Q": 1},
-                                     {1: comp, 3: comp}).flow_args()
+                                     {1: comp, 3: comp}).compiled
             with pytest.raises(FlowDiverged, match=match):
                 field.flow(np.full(3, 2.0), 1e-2, 100000)
             with pytest.raises(FlowDiverged, match=match):
@@ -97,7 +98,7 @@ class TestFlowDriver:
         ({1: "0", 3: "x[1]^4 - x[1]^4"}, [0.0, 0.0, 1e100]),
     ], ids=["division-by-zero", "exp-overflow", "nan-in-last-coordinate"])
     def test_float_arithmetic_divergence_is_typed(self, ring, comps, x0):
-        field = AdmissibleSystem(ring, {"P": 1, "Q": 1}, comps).flow_args()
+        field = AdmissibleSystem(ring, {"P": 1, "Q": 1}, comps).compiled
         with pytest.raises(FlowDiverged, match="non-finite"):
             field.flow(np.array(x0), 1e-2, 100)
         with pytest.raises(FlowDiverged, match="non-finite"):
@@ -105,7 +106,7 @@ class TestFlowDriver:
 
     def test_eval_keeps_numpy_inf_on_division_by_zero(self, ring):
         field = AdmissibleSystem(ring, {"P": 1, "Q": 1},
-                                 {1: "1/x[1]", 3: "x[1]^-2"}).flow_args()
+                                 {1: "1/x[1]", 3: "x[1]^-2"}).compiled
         assert field.eval(np.array([0.0, 1.0, 0.0])).tolist() == [np.inf, 1.0, np.inf]
 
     def test_guard_sees_nan_in_any_coordinate(self):
@@ -208,7 +209,7 @@ class TestFlowAgainstNumpyReference:
         h, nsteps, every = 1e-2, 40, 7
         for sys, psys, x0 in _library_fields():
             finals = []
-            for field in (sys.flow_args(), psys.flow_args()):
+            for field in (sys.compiled, psys.compiled):
                 x_ref, rows_ref = _reference_flow(field, x0, h, nsteps, every)
                 assert np.array_equal(field.flow(x0, h, nsteps), x_ref)
                 assert np.array_equal(field.flow_record(x0, h, nsteps, every),
@@ -218,7 +219,7 @@ class TestFlowAgainstNumpyReference:
 
     def test_eval_and_evaluate_equal_numpy_pack(self, rng):
         for sys, psys, x0 in _library_fields():
-            field = psys.flow_args()
+            field = psys.compiled
             for x in (x0, x0 + 0.05 * rng.standard_normal(len(x0))):
                 ref = np.empty(len(x))
                 field.rhs(x, ref)
@@ -274,8 +275,9 @@ class TestFloquet:
 
     def test_flowmap_method_agrees_coarsely(self, hopf):
         orb = find_periodic_orbit(hopf, np.array([1.2, 0.0]), 6.0)
-        mus_v = floquet(hopf, orb, method="variational")
-        mus_f = floquet(hopf, orb, method="flowmap")
+        mus_v = floquet(hopf, orb)
+        mus_f = _sorted_eigvals(_flowmap_monodromy(hopf, orb.anchor, orb.period,
+                                                   orb.step))
         assert abs(mus_v[0] - mus_f[0]) < 1e-6
 
     def test_fig3_two_unit_multipliers(self, fig3_system):
@@ -336,6 +338,21 @@ class TestLazyMultipliers:
         assert abs(orb.multipliers[0] - 1.0) < 1e-5
 
 
+def _flowmap_monodromy(sys, anchor, T, h):
+    """The monodromy by central differences of the time-T flow map, at the
+    step and differencing width monodromy_matrix uses."""
+    nsteps, h_eff = _steps_for(T, h)
+    fd = 1e-6 * max(1.0, float(np.linalg.norm(anchor)))
+    n = len(anchor)
+    phi = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = fd
+        phi[:, j] = (sys.compiled.flow(anchor + e, h_eff, nsteps)
+                     - sys.compiled.flow(anchor - e, h_eff, nsteps)) / (2 * fd)
+    return phi
+
+
 def _variational_reference(field, x0, h, nsteps, fd):
     """The variational pass as plain loops over the scalar rhs."""
     n = len(x0)
@@ -372,7 +389,7 @@ class TestBlockMonodromy:
                             w=np.array([1.0, 0.0]))
         psys = PerturbedSystem(hopf, [pert], 1e-2)
         for sys, x0 in ((psys, np.array([1.0, 0.0])), (wave[0], wave[1])):
-            field = sys.flow_args()
+            field = sys.compiled
             x, phi = field.flow_variational(x0, 1e-2, 200, 1e-6)
             x_ref, phi_ref = _variational_reference(field, x0, 1e-2, 200, 1e-6)
             assert np.array_equal(x, x_ref) and np.array_equal(phi, phi_ref)
@@ -382,8 +399,7 @@ class TestBlockMonodromy:
                             w=np.array([1.0, 0.0]))
         psys = PerturbedSystem(hopf, [pert], 1e-2)
         orb = find_periodic_orbit(psys, np.array([1.2, 0.0]), 6.0, h=1e-2)
-        ref = monodromy_matrix(psys, orb.anchor, orb.period, h=orb.step,
-                               method="flowmap")
+        ref = _flowmap_monodromy(psys, orb.anchor, orb.period, orb.step)
         assert np.max(np.abs(orb.monodromy - ref)) < 1e-8
         unbumped = monodromy_matrix(hopf, orb.anchor, orb.period, h=orb.step)
         assert np.max(np.abs(orb.monodromy - unbumped)) > 1e-4
@@ -395,8 +411,7 @@ class TestBlockMonodromy:
         dsys = doubled_system(sys, double(sys.network))
         orb2 = orbit_from_point(dsys, shear(orb, 1.0 / 3.0)[0], orb.period,
                                 h=1e-2, tol=1e-6)
-        ref = monodromy_matrix(dsys, orb2.anchor, orb2.period, h=orb2.step,
-                               method="flowmap")
+        ref = _flowmap_monodromy(dsys, orb2.anchor, orb2.period, orb2.step)
         assert orb2.monodromy.shape == (12, 12)
         assert np.max(np.abs(orb2.monodromy - ref)) < 1e-8
 
@@ -467,6 +482,15 @@ class TestSynchronyDetection:
         states = np.array([[0.0, 1e-10], [0.0, 1e-10]])
         col = detect_synchrony(sys, states, tol=1e-8)
         assert col.parts == ((1, 2),)
+
+    def test_merges_transitively(self):
+        # (1, 2) and (2, 3) are within tol; (1, 3), 1.2e-8 apart, is not
+        net = mk_network(["H", "H", "H"], [])
+        sys = AdmissibleSystem(net, {"H": 1}, {1: "0"})
+        states = np.array([[0.0, 0.6e-8, 1.2e-8]] * 2)
+        assert float(np.max(np.abs(states[:, 2] - states[:, 0]))) > 1e-8
+        col = detect_synchrony(sys, states, tol=1e-8)
+        assert col.parts == ((1, 2, 3),)
 
 
 class TestPhaseDetection:
@@ -748,7 +772,7 @@ class TestTrigInterpolant:
         sys, guess, T = wave
         orb = find_periodic_orbit(sys, guess, T, h=2e-2)
         nsteps = int(np.ceil(orb.period / 2e-2))
-        raw = sys.flow_args().flow_record(orb.anchor, orb.period / nsteps, nsteps, 1)
+        raw = sys.compiled.flow_record(orb.anchor, orb.period / nsteps, nsteps, 1)
         raw[-1] = raw[0]
         first = interpolate.CubicSpline(np.arange(nsteps + 1) * (orb.period / nsteps),
                                         raw, bc_type="periodic")
